@@ -137,6 +137,9 @@ class LocalSolver {
   void numeric(const la::CsrMatrix<Scalar>& A, OpProfile* factor_prof = nullptr,
                OpProfile* trisolve_setup_prof = nullptr) {
     FROSCH_CHECK(symbolic_done_, "LocalSolver: symbolic() first");
+    FROSCH_CHECK(A.num_rows() == Aord_.num_rows() &&
+                     A.num_entries() == Aord_.num_entries(),
+                 "LocalSolver: numeric pattern differs from symbolic()");
     if (cfg_.ordering == Ordering::NestedDissection) {
       Aord_ = la::permute_symmetric(A, perm_);
     } else {
@@ -155,20 +158,21 @@ class LocalSolver {
   /// ordered matrix so its value-array address -- the device mirror key --
   /// stays stable, and the value-only PCIe crossing is charged to the
   /// Factor family (numeric overlay), never Matrix (pattern base).  The
-  /// pivoting backend has no reusable symbolic phase (Table I), so it
-  /// re-runs both phases exactly as a cold numeric_setup would -- keeping
-  /// refreshed results bitwise identical to cold ones.
+  /// pivoting backend's factor structure depends on the values (Table I),
+  /// but its fill-reducing ordering depends only on the pattern: it keeps
+  /// perm_ and re-runs the permute and the full numeric phase, as a cold
+  /// numeric setup would (SuperLU's SamePattern mode) -- keeping refreshed
+  /// results bitwise identical to cold ones.
   void numeric_refresh(const la::CsrMatrix<Scalar>& A,
                        OpProfile* factor_prof = nullptr,
                        OpProfile* trisolve_setup_prof = nullptr) {
     FROSCH_CHECK(numeric_done_, "LocalSolver: refresh before numeric()");
+    FROSCH_CHECK(A.num_entries() == Aord_.num_entries(),
+                 "LocalSolver: refresh pattern mismatch");
     if (!symbolic_reusable()) {
-      symbolic(A);
       numeric(A, factor_prof, trisolve_setup_prof);
       return;
     }
-    FROSCH_CHECK(A.num_entries() == Aord_.num_entries(),
-                 "LocalSolver: refresh pattern mismatch");
     if (cfg_.ordering == Ordering::NestedDissection) {
       // permute_symmetric is deterministic, so the temporary's value order
       // matches the cached Aord_'s exactly: a positional copy reproduces

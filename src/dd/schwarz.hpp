@@ -383,7 +383,13 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
 
       OpProfile rap;
       auto At_phi = la::spgemm(A, phi_, &rap);
-      A0_ = la::spgemm(la::transpose(phi_, &rap), At_phi, &rap);
+      la::CsrMatrix<Scalar> A0 =
+          la::spgemm(la::transpose(phi_, &rap), At_phi, &rap);
+      // A value-dependent basis entry can change the coarse pattern; the
+      // hook checks that itself, the inline coarse solver is checked here.
+      const bool same_coarse_pattern =
+          A0.rowptr() == A0_.rowptr() && A0.colind() == A0_.colind();
+      A0_ = std::move(A0);
       bk["coarse-rap-spgemm"] += rap;
       prof_.coarse.numeric += rap;
       prof_.coarse_dim = A0_.num_rows();
@@ -408,8 +414,11 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
       OpProfile cfac;
       if (coarse_hook_) {
         coarse_hook_->numeric_refresh(A0_, *comm_, &cfac);
-      } else {
+      } else if (same_coarse_pattern) {
         coarse_solver_->numeric_refresh(A0_, &cfac, &cfac);
+      } else {
+        coarse_solver_->symbolic(A0_, &cfac);
+        coarse_solver_->numeric(A0_, &cfac, &cfac);
       }
       bk["coarse-factorization"] += cfac;
       prof_.coarse.numeric += cfac;
@@ -520,10 +529,8 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
     exec::parallel_for(
         cfg_.exec, decomp_.num_parts,
         [&](index_t p) {
-          if (!solvers_[p]->symbolic_reusable()) {
-            // Pivoting backend: symbolic must be redone every numeric call.
-            solvers_[p]->symbolic(local_mats_[p], &fac[p]);
-          }
+          // The pivoting backend's value-dependent structure is rebuilt
+          // inside numeric(); the ordering from symbolic_setup is reused.
           solvers_[p]->numeric(local_mats_[p], &fac[p], &tri[p]);
         },
         /*grain=*/1);

@@ -2,6 +2,10 @@
 // symbolic Cholesky, Gilbert-Peierls LU, multifrontal Cholesky, supernodes.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+
+#include "common/half.hpp"
 #include "direct/elimination_tree.hpp"
 #include "direct/gp_lu.hpp"
 #include "direct/multifrontal.hpp"
@@ -9,6 +13,7 @@
 #include "la/ops.hpp"
 #include "la/spmv.hpp"
 #include "support/matrices.hpp"
+#include "support/problems.hpp"
 #include "trisolve/substitution.hpp"
 
 namespace frosch::direct {
@@ -18,9 +23,10 @@ using test::laplace2d;
 using test::random_nonsym;
 using test::random_vector;
 
-template <class Fact>
-std::vector<double> solve_with(const Fact& f, const std::vector<double>& b) {
-  std::vector<double> x;
+template <class Scalar>
+std::vector<Scalar> solve_with(const Factorization<Scalar>& f,
+                               const std::vector<Scalar>& b) {
+  std::vector<Scalar> x;
   f.apply_row_perm(b, x);
   trisolve::forward_solve(f.L, f.unit_diag_L, x);
   trisolve::backward_solve(f.U, x);
@@ -269,6 +275,147 @@ TEST_P(DirectSweep, BothBackendsAgreeOnSpdSystems) {
     EXPECT_NEAR(xlu[i], xref[i], 1e-8);
     EXPECT_NEAR(xch[i], xref[i], 1e-8);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Dense tail of the Gilbert--Peierls LU.
+
+/// Dense n x n matrix with uniform [-1, 1] entries plus `shift` on the
+/// diagonal; `skip_col` (if >= 0) is left structurally empty, and columns
+/// below `sparse_cols` hold only their unit diagonal.
+template <class Scalar>
+la::CsrMatrix<Scalar> dense_random(index_t n, unsigned seed, double shift = 0.0,
+                                   index_t skip_col = -1,
+                                   index_t sparse_cols = 0) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  la::TripletBuilder<Scalar> b(n, n);
+  for (index_t j = 0; j < n; ++j) {
+    for (index_t i = 0; i < n; ++i) {
+      const double v = u(rng) + (i == j ? shift : 0.0);
+      if (j == skip_col) continue;
+      if (j < sparse_cols) {
+        if (i == j) b.add(i, j, Scalar(1.0));
+        continue;
+      }
+      b.add(i, j, Scalar(v));
+    }
+  }
+  return b.build();
+}
+
+TEST(GpLuDenseTail, DenseRandomMatrixSwitchesAtOnce) {
+  const index_t n = 200;
+  auto A = dense_random<double>(n, 11);
+  auto xref = random_vector(n, 12);
+  std::vector<double> b;
+  la::spmv(A, xref, b);
+  GilbertPeierlsLu<double> lu;
+  lu.symbolic(A);
+  lu.numeric(A);
+  EXPECT_EQ(lu.dense_tail_start(), 0);  // column 0 is already full
+  const auto& f = lu.factorization();
+  auto x = solve_with(f, b);
+  for (index_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], xref[i], 1e-10);
+  // P A == L U entrywise.
+  auto LU = la::spgemm(f.L, f.U);
+  double err = 0.0;
+  for (index_t i = 0; i < n; ++i)
+    for (index_t j = 0; j < n; ++j)
+      err = std::max(err,
+                     std::abs(LU.at(f.row_perm_old2new[i], j) - A.at(i, j)));
+  EXPECT_LT(err, 1e-12);
+}
+
+TEST(GpLuDenseTail, SmallMatrixStaysOnTheColumnPath) {
+  const index_t n = GilbertPeierlsLu<double>::kDenseTailMin - 1;
+  auto A = dense_random<double>(n, 5);
+  auto xref = random_vector(n, 6);
+  std::vector<double> b;
+  la::spmv(A, xref, b);
+  GilbertPeierlsLu<double> lu;
+  lu.symbolic(A);
+  lu.numeric(A);
+  EXPECT_EQ(lu.dense_tail_start(), n);
+  auto x = solve_with(lu.factorization(), b);
+  for (index_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], xref[i], 1e-10);
+}
+
+TEST(GpLuDenseTail, NestedDissectionLaplace3dMatchesMultifrontal) {
+  auto A = test::laplace_problem(10, 1, 1, 1).A;
+  A = la::permute_symmetric(A, graph::nested_dissection(graph::build_graph(A)));
+  const index_t n = A.num_rows();
+  auto xref = random_vector(n, 31);
+  std::vector<double> b;
+  la::spmv(A, xref, b);
+
+  GilbertPeierlsLu<double> lu;
+  lu.symbolic(A);
+  lu.numeric(A);
+  // The subdomain interiors and lower separators stay on the column path;
+  // the tail takes over among the top separators, whose Schur complements
+  // are dense (the last 260 of 1210 columns).
+  const index_t tail = n - lu.dense_tail_start();
+  EXPECT_GE(tail, GilbertPeierlsLu<double>::kDenseTailMin);
+  EXPECT_LT(tail, n / 3);
+  auto xlu = solve_with(lu.factorization(), b);
+
+  MultifrontalCholesky<double> chol;
+  chol.symbolic(A);
+  chol.numeric(A);
+  auto xch = solve_with(chol.factorization(), b);
+  for (index_t i = 0; i < n; ++i) EXPECT_NEAR(xlu[i], xch[i], 1e-10);
+}
+
+TEST(GpLuDenseTail, ZeroColumnInTailNamesItsGlobalColumn) {
+  // Twenty unit columns keep the column path busy; the first dense column
+  // starts the tail at j0 = 20, and column 70 is empty.
+  const index_t n = 100, j0 = 20, zero_col = 70;
+  auto ok = dense_random<double>(n, 41, 0.0, -1, j0);
+  GilbertPeierlsLu<double> lu;
+  lu.symbolic(ok);
+  lu.numeric(ok);
+  EXPECT_EQ(lu.dense_tail_start(), j0);
+
+  auto A = dense_random<double>(n, 41, 0.0, zero_col, j0);
+  lu.symbolic(A);
+  try {
+    lu.numeric(A);
+    FAIL() << "singular matrix factored";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("singular at column 70"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+template <class Scalar>
+double dense_tail_solve_error(index_t n) {
+  // Diagonal shift n/4 keeps the condition number small, so the error
+  // measures the working precision rather than the matrix.
+  auto A = dense_random<Scalar>(n, 51, double(n) / 4);
+  auto xd = random_vector(n, 52);
+  std::vector<Scalar> xref(xd.begin(), xd.end()), b(static_cast<size_t>(n));
+  for (index_t i = 0; i < n; ++i) {
+    double s = 0.0;
+    for (index_t k = A.row_begin(i); k < A.row_end(i); ++k)
+      s += double(A.val(k)) * double(xref[A.col(k)]);
+    b[i] = Scalar(s);
+  }
+  GilbertPeierlsLu<Scalar> lu;
+  lu.symbolic(A);
+  lu.numeric(A);
+  EXPECT_EQ(lu.dense_tail_start(), 0);
+  auto x = solve_with(lu.factorization(), b);
+  double err = 0.0;
+  for (index_t i = 0; i < n; ++i)
+    err = std::max(err, std::abs(double(x[i]) - double(xref[i])));
+  return err;
+}
+
+TEST(GpLuDenseTail, FloatAndHalfSolveToTheirPrecision) {
+  EXPECT_LT(dense_tail_solve_error<float>(48), 1e-5);
+  EXPECT_LT(dense_tail_solve_error<half>(48), 1e-2);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -13,8 +13,10 @@
 //   * per-level SolveReport pins and the subset-aware coarse pricing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "frosch.hpp"
 #include "perf/summit.hpp"
@@ -383,6 +385,68 @@ TEST(Pricing, ModeledCoarseTimeFallsAsSubsetWidens) {
     prev_setup = mc.setup;
     prev_solve = mc.solve;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Semi-definite coarse matrix through the pivoting coarse solver.
+
+TEST(CoarseFactor, SemiDefiniteElasticityCoarseMatrixSolvesInRange) {
+  // 10^3 clamped elasticity on 27 algebraic parts with rGDSW: rotations
+  // restricted to small interface components are nearly dependent on the
+  // translations, so Phi is nearly rank deficient and A0 = Phi^T A Phi only
+  // semi-definite.  The factor must still solve consistently in range(A0).
+  const index_t e = 10;
+  fem::BrickMesh mesh(e, e, e, double(e), double(e), double(e));
+  auto sys = fem::apply_dirichlet(fem::assemble_elasticity(mesh),
+                                  fem::clamped_x0_dofs(mesh));
+  auto Z = fem::restrict_nullspace(fem::elasticity_nullspace(mesh), sys.keep);
+  ParameterList params;
+  params.set("preconditioner", "schwarz")
+      .set("coarse-space", "rgdsw")
+      .set("num-parts", index_t{27})
+      .set("dof-block-size", "3");
+  Solver solver(params);
+  solver.setup(sys.A, Z);
+  const auto* prec = dynamic_cast<const dd::SchwarzPreconditioner<double>*>(
+      solver.preconditioner());
+  ASSERT_NE(prec, nullptr);
+  const la::CsrMatrix<double>& A0 = prec->coarse_matrix();
+  const la::CsrMatrix<double>& phi = prec->coarse_basis();
+  const index_t n0 = A0.num_rows();
+
+  // The premise: pivots near zero relative to the largest, and a factor
+  // that runs through the dense tail.
+  direct::GilbertPeierlsLu<double> lu;
+  lu.symbolic(A0);
+  lu.numeric(A0);
+  EXPECT_LT(lu.dense_tail_start(), n0);
+  const auto& U = lu.factorization().U;
+  double dmax = 0.0, dmin = std::numeric_limits<double>::infinity();
+  for (index_t i = 0; i < n0; ++i) {
+    const double d = std::abs(U.at(i, i));
+    dmax = std::max(dmax, d);
+    dmin = std::min(dmin, d);
+  }
+  EXPECT_LT(dmin, 1e-10 * dmax);
+
+  // r0 = Phi^T b lies in range(Phi^T) = range(A0).
+  std::vector<double> b(static_cast<size_t>(phi.num_rows())), r0, z0, x, Az;
+  for (size_t i = 0; i < b.size(); ++i) b[i] = std::sin(0.37 * double(i) + 1.0);
+  la::spmv(la::transpose(phi), b, r0);
+  dd::LocalSolver<double> coarse(prec->config().coarse);
+  coarse.symbolic(A0);
+  coarse.numeric(A0);
+  coarse.solve(r0, z0);
+  la::spmv(phi, z0, x);
+  for (size_t i = 0; i < x.size(); ++i)
+    ASSERT_TRUE(std::isfinite(x[i])) << "Phi z0 at " << i;
+  la::spmv(A0, z0, Az);
+  double res = 0.0, rn = 0.0;
+  for (index_t i = 0; i < n0; ++i) {
+    res += (Az[i] - r0[i]) * (Az[i] - r0[i]);
+    rn += r0[i] * r0[i];
+  }
+  EXPECT_LT(std::sqrt(res / rn), 1e-8);
 }
 
 }  // namespace
