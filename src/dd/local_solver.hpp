@@ -99,11 +99,19 @@ class LocalSolver {
 
   const LocalSolverConfig& config() const { return cfg_; }
 
-  /// Pattern analysis: ordering + backend symbolic phase.
+  /// Pattern analysis: ordering + backend symbolic phase.  `prof` gets
+  /// both, the ordering's graph build, dissection and permutation included.
   void symbolic(const la::CsrMatrix<Scalar>& A, OpProfile* prof = nullptr) {
     if (cfg_.ordering == Ordering::NestedDissection) {
-      perm_ = nd_ordering(A);
+      perm_ = nd_ordering(A, prof);
       Aord_ = la::permute_symmetric(A, perm_);
+      if (prof) {
+        // The permutation reads A and writes the ordered copy.
+        prof->bytes += 2.0 * A.storage_bytes();
+        prof->launches += 1;
+        prof->critical_path += 1;
+        prof->work_items += static_cast<double>(A.num_rows());
+      }
     } else {
       perm_.clear();
       Aord_ = A;
@@ -298,18 +306,28 @@ class LocalSolver {
 
   /// ND permutation, computed on the node-compressed quotient graph when
   /// dof_block_size divides the dimension and the dof blocks are intact.
-  IndexVector nd_ordering(const la::CsrMatrix<Scalar>& A) const {
+  IndexVector nd_ordering(const la::CsrMatrix<Scalar>& A,
+                          OpProfile* prof) const {
     const index_t b = cfg_.dof_block_size;
     const index_t n = A.num_rows();
     if (b <= 1 || n % b != 0) {
-      return graph::nested_dissection(graph::build_graph(A));
+      return graph::nested_dissection(graph::build_graph(A, prof), {}, prof);
     }
     const index_t nq = n / b;
     la::TripletBuilder<char> qb(nq, nq);
     for (index_t i = 0; i < n; ++i)
       for (index_t k = A.row_begin(i); k < A.row_end(i); ++k)
         if (i / b != A.col(k) / b) qb.add(i / b, A.col(k) / b, 1);
-    IndexVector qperm = graph::nested_dissection(graph::build_graph(qb.build()));
+    if (prof) {
+      // The pattern scan and the quotient's triplet build.
+      prof->bytes +=
+          3.0 * static_cast<double>(A.num_entries()) * sizeof(index_t);
+      prof->launches += 1;
+      prof->critical_path += 1;
+      prof->work_items += static_cast<double>(n);
+    }
+    IndexVector qperm = graph::nested_dissection(
+        graph::build_graph(qb.build(), prof), {}, prof);
     IndexVector perm(static_cast<size_t>(n));
     for (index_t q = 0; q < nq; ++q)
       for (index_t c = 0; c < b; ++c) perm[q * b + c] = qperm[q] * b + c;

@@ -1,17 +1,24 @@
 // Multifrontal sparse Cholesky: the Tacho stand-in (see DESIGN.md).
 //
 // Structure mirrors what matters for the paper's GPU study:
-//   * the SYMBOLIC phase (elimination tree, factor pattern, postorder,
-//     level-set schedule of fronts) depends only on the sparsity pattern and
-//     is fully REUSABLE across numeric factorizations -- Tacho's decisive
-//     advantage over SuperLU in Fig. 4 / Table III;
-//   * the NUMERIC phase processes dense frontal matrices in elimination-tree
-//     postorder with extend-add of children's update (Schur) matrices, and a
-//     GPU implementation launches one batched kernel per etree LEVEL -- so
-//     its profile records `launches = tree height` with per-level widths,
-//     which is exactly why nested-dissection ordering (wide shallow tree)
-//     helps on GPUs.
+//   * the SYMBOLIC phase (elimination tree, factor pattern, fundamental
+//     supernodes and their assembly tree, postorder, the L = U^T value map)
+//     depends only on the sparsity pattern and is fully REUSABLE across
+//     numeric factorizations -- Tacho's decisive advantage over SuperLU in
+//     Fig. 4 / Table III;
+//   * the NUMERIC phase visits the supernodes in assembly-tree postorder
+//     (Liu, SIAM Review 1992).  A supernode's k pivot columns share one
+//     dense frontal matrix: its columns of A are assembled once, the
+//     children's update (Schur) matrices are extend-added once, all k
+//     pivots are eliminated by the blocked la::partial_cholesky, and the
+//     trailing Schur block goes onto an update stack for the parent.  A GPU
+//     implementation launches one batched kernel per etree LEVEL -- so its
+//     profile records `launches = tree height` with per-level widths, which
+//     is exactly why nested-dissection ordering (wide shallow tree) helps
+//     on GPUs.
 #pragma once
+
+#include <numeric>
 
 #include "common/op_profile.hpp"
 #include "direct/elimination_tree.hpp"
@@ -29,13 +36,90 @@ class MultifrontalCholesky {
     FROSCH_CHECK(A.num_rows() == A.num_cols(),
                  "MultifrontalCholesky: square matrices only");
     n_ = A.num_rows();
-    parent_ = elimination_tree(A);
-    post_ = tree_postorder(parent_);
-    levels_ = tree_levels(parent_, &tree_height_);
-    Lpattern_ = symbolic_cholesky(A, parent_);
+    const IndexVector parent = elimination_tree(A);
+    tree_levels(parent, &tree_height_);
+
+    // Factor pattern: row j of U = L^T lists the rows of column j of L.  The
+    // values of L are a fixed permutation of U's: L.values[r] =
+    // U.values[l_from_u_[r]].
+    const la::CsrMatrix<char> Lpat = symbolic_cholesky(A, parent);
+    const count_t nnz = Lpat.num_entries();
+    IndexVector upos(static_cast<size_t>(nnz));
+    std::iota(upos.begin(), upos.end(), index_t(0));
+    la::CsrMatrix<index_t> Lpos = la::transpose(la::CsrMatrix<index_t>(
+        n_, n_, Lpat.rowptr(), Lpat.colind(), std::move(upos)));
+    fact_.U = la::CsrMatrix<Scalar>(n_, n_, Lpat.rowptr(), Lpat.colind(),
+                                    std::vector<Scalar>(Lpat.colind().size()));
+    fact_.L = la::CsrMatrix<Scalar>(n_, n_, Lpos.rowptr(), Lpos.colind(),
+                                    std::vector<Scalar>(Lpat.colind().size()));
+    l_from_u_ = std::move(Lpos.values());
+    fact_.unit_diag_L = false;
+    fact_.row_perm_old2new.clear();
+    fact_.sn_ptr = detect_supernodes(fact_.U);
+
+    // Assembly tree: a supernode's parent holds the etree parent of its
+    // last column.
+    const IndexVector& sn_ptr = fact_.sn_ptr;
+    const index_t ns = static_cast<index_t>(sn_ptr.size()) - 1;
+    IndexVector col_sn(static_cast<size_t>(n_)), sn_parent(ns, -1);
+    nchild_.assign(static_cast<size_t>(ns), 0);
+    for (index_t s = 0; s < ns; ++s)
+      for (index_t j = sn_ptr[s]; j < sn_ptr[s + 1]; ++j) col_sn[j] = s;
+    for (index_t s = 0; s < ns; ++s) {
+      const index_t p = parent[sn_ptr[s + 1] - 1];
+      if (p == -1) continue;
+      sn_parent[s] = col_sn[p];
+      ++nchild_[col_sn[p]];
+    }
+    sn_post_ = tree_postorder(sn_parent);
+
+    // Pattern-only numeric constants: the flop count (2 s^2 per column of
+    // front size s, as for one front per column), the front area, the
+    // words the supernodal fronts move, and the workspace sizes (the
+    // widest front and the deepest update stack of the postorder walk).
+    flops_ = front_area_ = 0.0;
+    double words = 0.0;
+    max_front_ = 0;
+    max_stack_ = 0;
+    std::vector<size_t> stack;  // update sizes, bottom to top
+    size_t depth = 0;
+    for (const index_t s : sn_post_) {
+      const index_t f = sn_ptr[s], k = sn_ptr[s + 1] - f;
+      const index_t sz = fact_.U.row_nnz(f), m = sz - k;
+      max_front_ = std::max(max_front_, sz);
+      words += tri(sz);  // zeroed and assembled once
+      for (index_t c = 0; c < nchild_[s]; ++c) {
+        words += 3.0 * double(stack.back());  // read + front read/write
+        depth -= stack.back();
+        stack.pop_back();
+      }
+      for (index_t p = 0; p < k; p += la::kLuPanelWidth) {
+        const double kb = double(std::min(la::kLuPanelWidth, k - p));
+        const double rows = double(sz - p), rest = rows - kb;
+        words += 2.0 * rows * kb + rest * kb + 2.0 * tri(rest);
+      }
+      for (index_t c = 0; c < k; ++c) {
+        const double sj = double(sz - c);
+        flops_ += 2.0 * sj * sj;
+        front_area_ += sj * sj;
+        words += 2.0 * sj;  // front column -> U
+      }
+      if (m > 0) {
+        stack.push_back(static_cast<size_t>(tri(m)));
+        depth += stack.back();
+        max_stack_ = std::max(max_stack_, depth);
+        words += 2.0 * tri(m);
+      }
+    }
+    // Plus the U -> L value scatter through l_from_u_.
+    bytes_ = words * sizeof(Scalar) +
+             double(nnz) * (2.0 * sizeof(Scalar) + sizeof(index_t));
+
     if (prof) {
+      // The etree and pattern pass, plus the transposed pattern and its
+      // value map.
       prof->bytes += A.storage_bytes() +
-                     static_cast<double>(Lpattern_.num_entries()) * sizeof(index_t);
+                     4.0 * static_cast<double>(nnz) * sizeof(index_t);
       prof->launches += 1;  // symbolic analysis is a host-side pass
       prof->critical_path += 1;
       prof->work_items += static_cast<double>(n_);
@@ -45,102 +129,95 @@ class MultifrontalCholesky {
   bool has_symbolic() const { return n_ > 0; }
   static constexpr bool symbolic_reusable() { return true; }
   index_t tree_height() const { return tree_height_; }
-  const IndexVector& etree_parent() const { return parent_; }
 
-  /// Numeric factorization A = L L^T using the cached symbolic data.
+  /// Numeric factorization A = L L^T using the cached symbolic data.  A must
+  /// have the pattern symbolic() analyzed (or a subset of the factor's):
+  /// an entry outside it throws, naming its row and column.  The factor is
+  /// overwritten in place, so a throw leaves it partly refactored.
   void numeric(const la::CsrMatrix<Scalar>& A, OpProfile* prof = nullptr) {
     FROSCH_CHECK(has_symbolic(), "MultifrontalCholesky: symbolic() first");
-    FROSCH_CHECK(A.num_rows() == n_, "MultifrontalCholesky: dimension changed");
-    const index_t n = n_;
+    FROSCH_CHECK(A.num_rows() == n_ && A.num_cols() == n_,
+                 "MultifrontalCholesky: dimension changed");
+    const la::CsrMatrix<Scalar>& U = fact_.U;
+    const IndexVector& sn_ptr = fact_.sn_ptr;
+    std::vector<Scalar>& Ux = fact_.U.values();
+    std::vector<Scalar> front(static_cast<size_t>(max_front_) * max_front_);
+    std::vector<Scalar> stack(max_stack_);
+    // Supernodes whose updates are on the stack, bottom to top, with the
+    // offset of each update (its lower triangle, packed by columns).
+    IndexVector pending;
+    std::vector<size_t> pending_off;
+    size_t top = 0;
+    IndexVector pos(static_cast<size_t>(n_), -1);  // global row -> front row
 
-    // Children lists for extend-add.
-    std::vector<IndexVector> children(static_cast<size_t>(n));
-    for (index_t j = 0; j < n; ++j)
-      if (parent_[j] != -1) children[parent_[j]].push_back(j);
-
-    // Update (Schur) matrices pending consumption by parents.  Lower
-    // triangle only, indexed by the front's row list.
-    struct Update {
-      IndexVector rows;
-      la::DenseMatrix<Scalar> mat;
-    };
-    std::vector<Update> pending(static_cast<size_t>(n));
-
-    std::vector<Scalar> Lx(static_cast<size_t>(Lpattern_.num_entries()),
-                           Scalar(0));
-    IndexVector pos(static_cast<size_t>(n), -1);  // global row -> front row
-    double flops = 0.0, bytes = 0.0, front_area = 0.0;
-
-    for (index_t idx = 0; idx < n; ++idx) {
-      const index_t j = post_[idx];
-      // Front rows = pattern of column j of L (diagonal first, ascending).
-      const index_t fb = Lpattern_.row_begin(j), fe = Lpattern_.row_end(j);
-      const index_t s = fe - fb;
-      for (index_t k = 0; k < s; ++k) pos[Lpattern_.col(fb + k)] = k;
-
-      la::DenseMatrix<Scalar> F(s, s);
-      // Assemble original entries of column j (lower part, via symmetric row).
-      for (index_t p = A.row_begin(j); p < A.row_end(j); ++p) {
-        const index_t i = A.col(p);
-        if (i < j) continue;  // lower triangle of column j means rows >= j
-        FROSCH_ASSERT(pos[i] >= 0, "multifrontal: entry outside front");
-        F(pos[i], 0) += A.val(p);
+    for (const index_t s : sn_post_) {
+      const index_t f = sn_ptr[s], k = sn_ptr[s + 1] - f;
+      const index_t sz = U.row_nnz(f), m = sz - k;
+      const index_t* rows = U.colind().data() + U.row_begin(f);
+      const size_t ld = static_cast<size_t>(sz);
+      Scalar* F = front.data();
+      for (index_t i = 0; i < sz; ++i) {
+        pos[rows[i]] = i;
+        std::fill(F + i * ld + i, F + (i + 1) * ld, Scalar(0));
       }
-      // Extend-add children updates.
-      for (index_t c : children[j]) {
-        Update& u = pending[c];
-        const index_t us = static_cast<index_t>(u.rows.size());
-        for (index_t cc = 0; cc < us; ++cc) {
-          const index_t gc = pos[u.rows[cc]];
-          FROSCH_ASSERT(gc >= 0, "multifrontal: child row outside parent front");
-          for (index_t rr = cc; rr < us; ++rr) {
-            F(pos[u.rows[rr]], gc) += u.mat(rr, cc);
-          }
+      // Columns f..f+k-1 of A, read as the upper part of their rows.
+      for (index_t c = 0; c < k; ++c) {
+        const index_t j = f + c;
+        for (index_t p = A.row_begin(j); p < A.row_end(j); ++p) {
+          const index_t i = A.col(p);
+          if (i < j) continue;
+          FROSCH_CHECK(pos[i] >= 0, "MultifrontalCholesky: entry ("
+                                        << i << ", " << j
+                                        << ") is outside the pattern "
+                                           "symbolic() analyzed");
+          F[c * ld + pos[i]] += A.val(p);
         }
-        u.rows.clear();
-        u.mat = la::DenseMatrix<Scalar>();  // release child storage
       }
-      // Partial factorization of the first pivot; Schur complement in the
-      // trailing (s-1)x(s-1) lower triangle.
-      la::partial_cholesky(F, 1);
-      flops += 2.0 * double(s) * double(s);
-      bytes += double(s) * double(s) * sizeof(Scalar);
-      front_area += double(s) * double(s);
-      // Store column j of L.
-      for (index_t k = 0; k < s; ++k) Lx[fb + k] = F(k, 0);
-      // Hand the update matrix to the parent.
-      if (parent_[j] != -1 && s > 1) {
-        Update& u = pending[j];
-        u.rows.assign(Lpattern_.colind().begin() + fb + 1,
-                      Lpattern_.colind().begin() + fe);
-        u.mat = la::DenseMatrix<Scalar>(s - 1, s - 1);
-        for (index_t cc = 1; cc < s; ++cc)
-          for (index_t rr = cc; rr < s; ++rr)
-            u.mat(rr - 1, cc - 1) = F(rr, cc);
+      // Extend-add the children's updates: the top nchild_[s] entries.
+      const size_t first = pending.size() - static_cast<size_t>(nchild_[s]);
+      for (size_t e = first; e < pending.size(); ++e) {
+        const index_t cf = sn_ptr[pending[e]];
+        const index_t ck = sn_ptr[pending[e] + 1] - cf;
+        const index_t cm = U.row_nnz(cf) - ck;
+        const index_t* crows = U.colind().data() + U.row_begin(cf) + ck;
+        const Scalar* u = stack.data() + pending_off[e];
+        for (index_t cc = 0; cc < cm; ++cc) {
+          Scalar* col = F + pos[crows[cc]] * ld;
+          for (index_t rr = cc; rr < cm; ++rr) col[pos[crows[rr]]] += *u++;
+        }
       }
-      for (index_t k = 0; k < s; ++k) pos[Lpattern_.col(fb + k)] = -1;
+      if (first < pending.size()) {
+        top = pending_off[first];
+        pending.resize(first);
+        pending_off.resize(first);
+      }
+      la::partial_cholesky(F, sz, k);
+      for (index_t c = 0; c < k; ++c)
+        std::copy(F + c * ld + c, F + (c + 1) * ld,
+                  Ux.begin() + U.row_begin(f + c));
+      if (m > 0) {
+        pending.push_back(s);
+        pending_off.push_back(top);
+        Scalar* u = stack.data() + top;
+        for (index_t c = k; c < sz; ++c)
+          u = std::copy(F + c * ld + c, F + (c + 1) * ld, u);
+        top = static_cast<size_t>(u - stack.data());
+      }
+      for (index_t i = 0; i < sz; ++i) pos[rows[i]] = -1;
     }
-
-    // Pack:  Lpattern_ rows are CSC columns of L -> that IS the CSR of L^T
-    // (upper factor U); transpose for the CSR of L.
-    la::CsrMatrix<Scalar> Lt(
-        n, n, Lpattern_.rowptr(), Lpattern_.colind(), std::move(Lx));
-    fact_.U = Lt;
-    fact_.L = la::transpose(Lt);
-    fact_.unit_diag_L = false;
-    fact_.row_perm_old2new.clear();
-    fact_.sn_ptr = detect_supernodes(fact_.U);
+    std::vector<Scalar>& Lx = fact_.L.values();
+    for (size_t r = 0; r < Lx.size(); ++r) Lx[r] = Ux[l_from_u_[r]];
 
     if (prof) {
-      prof->flops += flops;
-      prof->bytes += bytes + 2.0 * fact_.L.storage_bytes();
+      prof->flops += flops_;
+      prof->bytes += bytes_ + A.storage_bytes();
       // Level-set schedule: one batched launch of all fronts in a level;
       // within a launch, team kernels parallelize over the dense front
       // entries (Tacho's team-level BLAS), so the exposed width is the
       // total front area, not the front count.
       prof->launches += tree_height_;
       prof->critical_path += tree_height_;
-      prof->work_items += front_area;
+      prof->work_items += front_area_;
     }
   }
 
@@ -148,10 +225,17 @@ class MultifrontalCholesky {
   Factorization<Scalar>& factorization() { return fact_; }
 
  private:
+  /// Entries in the lower triangle of an m x m block.
+  static double tri(double m) { return m * (m + 1.0) / 2.0; }
+
   index_t n_ = 0;
   index_t tree_height_ = 0;
-  IndexVector parent_, post_, levels_;
-  la::CsrMatrix<char> Lpattern_;
+  IndexVector sn_post_;       ///< supernodes in assembly-tree postorder
+  IndexVector nchild_;        ///< children per supernode
+  IndexVector l_from_u_;      ///< L value r = U value l_from_u_[r]
+  index_t max_front_ = 0;     ///< widest front
+  size_t max_stack_ = 0;      ///< deepest update stack, in entries
+  double flops_ = 0.0, front_area_ = 0.0, bytes_ = 0.0;
   Factorization<Scalar> fact_;
 };
 

@@ -13,7 +13,9 @@ namespace {
 /// Bisection: BFS level structure from a pseudo-peripheral vertex; split at
 /// the median level; the separator is the set of "left" vertices adjacent to
 /// "right" vertices.  Left and right halves recurse; separator vertices are
-/// emitted last.
+/// emitted last.  The traversal volume (adjacency entries and leaf
+/// vertices visited), the number of bisections and the recursion depth are
+/// tallied for the profile.
 class Dissector {
  public:
   Dissector(const Graph& g, const NestedDissectionOptions& opts)
@@ -25,6 +27,7 @@ class Dissector {
     // Handle disconnected graphs: dissect each component independently.
     IndexVector comp;
     const index_t ncomp = connected_components(g_, comp);
+    scanned_ += static_cast<double>(g_.xadj[g_.n]);
     next_region_ = 1;
     for (index_t c = 0; c < ncomp; ++c) {
       IndexVector verts;
@@ -39,10 +42,15 @@ class Dissector {
     return out;
   }
 
+  double scanned() const { return scanned_; }
+  count_t splits() const { return splits_; }
+  int max_depth() const { return max_depth_; }
+
  private:
   void order_leaf(const IndexVector& verts, IndexVector& out) {
     // Order leaf vertices by degree within the subgraph (cheap approximation
     // of minimum degree); ties by id for determinism.
+    scanned_ += static_cast<double>(verts.size());
     IndexVector sorted = verts;
     std::sort(sorted.begin(), sorted.end(), [&](index_t a, index_t b) {
       const index_t da = g_.degree(a), db = g_.degree(b);
@@ -53,15 +61,24 @@ class Dissector {
 
   void dissect(const IndexVector& verts, index_t region, int depth,
                IndexVector& out) {
+    max_depth_ = std::max(max_depth_, depth);
     if (static_cast<index_t>(verts.size()) <= opts_.leaf_size ||
         depth >= opts_.max_depth) {
       order_leaf(verts, out);
       return;
     }
     // Level structure from a pseudo-peripheral vertex of this region.
-    const index_t root = pseudo_peripheral(g_, verts.front(), mask_, region);
+    index_t passes = 0;
+    const index_t root =
+        pseudo_peripheral(g_, verts.front(), mask_, region, &passes);
     IndexVector level;
     IndexVector order = bfs_levels(g_, root, mask_, region, level);
+    // The BFS sweeps plus the separator scan each visit (at most) the
+    // region's adjacency.
+    double region_adj = 0.0;
+    for (index_t v : verts) region_adj += static_cast<double>(g_.degree(v));
+    scanned_ += region_adj * static_cast<double>(passes + 2);
+    ++splits_;
     if (order.size() != verts.size()) {
       // Region became disconnected (shouldn't happen for a component, but be
       // safe): order the stragglers as a leaf.
@@ -124,14 +141,30 @@ class Dissector {
   NestedDissectionOptions opts_;
   IndexVector mask_;
   index_t next_region_ = 1;
+  double scanned_ = 0.0;
+  count_t splits_ = 0;
+  int max_depth_ = 0;
 };
 
 }  // namespace
 
 IndexVector nested_dissection(const Graph& g,
-                              const NestedDissectionOptions& opts) {
+                              const NestedDissectionOptions& opts,
+                              OpProfile* prof) {
   if (g.n == 0) return {};
-  return Dissector(g, opts).run();
+  Dissector d(g, opts);
+  IndexVector perm = d.run();
+  if (prof != nullptr) {
+    // Priced like recursive_bisection: each scanned entry reads the
+    // neighbor id, its mask and its BFS level slot.
+    OpProfile bp;
+    bp.bytes = d.scanned() * (3.0 * sizeof(index_t));
+    bp.work_items = d.scanned();
+    bp.launches = 2 * d.splits() + 1;  // BFS fronts per split + components
+    bp.critical_path = static_cast<count_t>(d.max_depth()) + 1;
+    *prof += bp;
+  }
+  return perm;
 }
 
 }  // namespace frosch::graph

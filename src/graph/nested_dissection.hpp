@@ -8,6 +8,7 @@
 // factorization.
 #pragma once
 
+#include "common/op_profile.hpp"
 #include "graph/graph.hpp"
 
 namespace frosch::graph {
@@ -22,8 +23,12 @@ struct NestedDissectionOptions {
 
 /// Returns a permutation p (new -> old): leaves first, separators last,
 /// recursively.  Applying permute_symmetric(A, p) yields the ND-ordered
-/// matrix ready for (multifrontal) factorization.
+/// matrix ready for (multifrontal) factorization.  `prof` (optional)
+/// records the measured traversal volume -- the component pass, every BFS
+/// sweep and separator scan of every bisection, and the leaf sorts -- as
+/// recursive_bisection does for the partition.
 IndexVector nested_dissection(const Graph& g,
-                              const NestedDissectionOptions& opts = {});
+                              const NestedDissectionOptions& opts = {},
+                              OpProfile* prof = nullptr);
 
 }  // namespace frosch::graph

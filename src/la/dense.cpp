@@ -14,4 +14,8 @@ template index_t lu_factor_blocked(DenseMatrix<float>&, IndexVector&,
 template index_t lu_factor_blocked(DenseMatrix<half>&, IndexVector&,
                                    OpProfile*);
 
+template void partial_cholesky(DenseMatrix<double>&, index_t, OpProfile*);
+template void partial_cholesky(DenseMatrix<float>&, index_t, OpProfile*);
+template void partial_cholesky(DenseMatrix<half>&, index_t, OpProfile*);
+
 }  // namespace frosch::la

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <vector>
 
@@ -77,43 +78,48 @@ void gemm_accum(const DenseMatrix<Scalar>& A, const DenseMatrix<Scalar>& B,
   }
 }
 
-/// In-place partial Cholesky of the leading k x k block of a symmetric
-/// (k+r) x (k+r) frontal matrix F, updating the trailing r x r block with the
-/// Schur complement.  On return the lower leading block holds L (including
-/// the sqrt diagonal), the off-diagonal block holds L21 = A21 * L11^{-T}, and
-/// the LOWER TRIANGLE of the trailing block holds A22 - L21 * L21^T (the
-/// upper triangle is not referenced or updated, as in LAPACK 'L' routines).
-/// Throws on a non-positive pivot.
+namespace detail {
+
+/// Side of the register tile of the packed trailing updates.
+inline constexpr index_t kTile = 4;
+
+/// Packs the rows x kb block whose (i, p) entry is a[i * rs + p * cs] into
+/// kTile-row strips, each stored depth-major (the kTile entries of one
+/// depth p adjacent); the last strip is zero padded.
 template <class Scalar>
-void partial_cholesky(DenseMatrix<Scalar>& F, index_t k,
-                      OpProfile* prof = nullptr) {
-  const index_t n = F.num_rows();
-  FROSCH_CHECK(F.num_cols() == n && k <= n, "partial_cholesky: bad dims");
-  double flops = 0.0;
-  for (index_t j = 0; j < k; ++j) {
-    Scalar d = F(j, j);
-    FROSCH_CHECK(d > Scalar(0), "partial_cholesky: non-positive pivot at "
-                                    << j << " (" << d << ")");
-    d = std::sqrt(d);
-    F(j, j) = d;
-    for (index_t i = j + 1; i < n; ++i) F(i, j) /= d;
-    for (index_t c = j + 1; c < n; ++c) {
-      const Scalar ljc = F(c, j);
-      if (ljc == Scalar(0)) continue;
-      for (index_t i = c; i < n; ++i) F(i, c) -= F(i, j) * ljc;
-    }
-    flops += 2.0 * double(n - j) * double(n - j);
-  }
-  if (prof) {
-    prof->flops += flops;
-    prof->bytes += double(n) * double(n) * sizeof(Scalar);
-    prof->launches += 3;  // potrf + trsm + syrk as a GPU would batch them
-    prof->critical_path += 3;
-    prof->work_items += double(n) * double(n);
-  }
+void pack_strips(index_t rows, index_t kb, const Scalar* a, size_t rs,
+                 size_t cs, std::vector<Scalar>& out) {
+  constexpr index_t T = kTile;
+  out.assign(static_cast<size_t>((rows + T - 1) / T) * kb * T, Scalar(0));
+  for (index_t p = 0; p < kb; ++p)
+    for (index_t i = 0; i < rows; ++i)
+      out[(static_cast<size_t>(i / T) * kb + p) * T + i % T] =
+          a[i * rs + p * cs];
 }
 
-namespace detail {
+/// One register tile of C -= L * R^T: lb and rb are packed strips of depth
+/// kb; c is the tile's corner in a column-major array of leading dimension
+/// ld, of which the leading iw x jw part exists.  With `lower`, only the
+/// entries on and below the tile's diagonal are written.  The products
+/// accumulate in double at every precision: summed in float, the rank-kb
+/// updates doubled the residual of float Cholesky fronts, and the float
+/// Schwarz preconditioner needed 35 GMRES iterations instead of 26.
+template <class Scalar>
+void tile_subtract(const Scalar* lb, const Scalar* rb, index_t kb, Scalar* c,
+                   size_t ld, index_t iw, index_t jw, bool lower) {
+  using Acc = double;
+  constexpr index_t T = kTile;
+  std::array<Acc, T * T> acc{};
+  for (index_t p = 0; p < kb; ++p)
+    for (index_t jj = 0; jj < T; ++jj)
+      for (index_t ii = 0; ii < T; ++ii)
+        acc[jj * T + ii] += Acc(lb[p * T + ii]) * Acc(rb[p * T + jj]);
+  for (index_t jj = 0; jj < jw; ++jj) {
+    Scalar* cc = c + jj * ld;
+    for (index_t ii = lower ? jj : 0; ii < iw; ++ii)
+      cc[ii] = Scalar(Acc(cc[ii]) - acc[jj * T + ii]);
+  }
+}
 
 /// Trailing update C -= L * U of a blocked LU step, column-major with
 /// leading dimension ld: C is rows x cols at c, L is rows x kb at l, U is
@@ -124,43 +130,100 @@ template <class Scalar>
 void lu_trailing_update(index_t rows, index_t cols, index_t kb,
                         const Scalar* l, const Scalar* u, Scalar* c,
                         index_t ld) {
-  using Acc = decltype(Scalar(0) * Scalar(0));  // float for half
-  constexpr index_t T = 4;
+  constexpr index_t T = kTile;
   const size_t ldz = static_cast<size_t>(ld);
-  const index_t rstrips = (rows + T - 1) / T, cstrips = (cols + T - 1) / T;
-  std::vector<Scalar> lp(static_cast<size_t>(rstrips) * kb * T, Scalar(0));
-  std::vector<Scalar> up(static_cast<size_t>(cstrips) * kb * T, Scalar(0));
-  for (index_t p = 0; p < kb; ++p)
-    for (index_t i = 0; i < rows; ++i)
-      lp[(static_cast<size_t>(i / T) * kb + p) * T + i % T] = l[p * ldz + i];
-  for (index_t j = 0; j < cols; ++j)
-    for (index_t p = 0; p < kb; ++p)
-      up[(static_cast<size_t>(j / T) * kb + p) * T + j % T] = u[j * ldz + p];
-  for (index_t js = 0; js < cstrips; ++js) {
-    const Scalar* ub = up.data() + static_cast<size_t>(js) * kb * T;
-    const index_t jw = std::min<index_t>(T, cols - js * T);
-    for (index_t is = 0; is < rstrips; ++is) {
-      const Scalar* lb = lp.data() + static_cast<size_t>(is) * kb * T;
-      Acc acc[T][T] = {};
-      for (index_t p = 0; p < kb; ++p)
-        for (index_t jj = 0; jj < T; ++jj)
-          for (index_t ii = 0; ii < T; ++ii)
-            acc[jj][ii] += Acc(lb[p * T + ii]) * Acc(ub[p * T + jj]);
-      const index_t iw = std::min<index_t>(T, rows - is * T);
-      for (index_t jj = 0; jj < jw; ++jj) {
-        Scalar* cc = c + (js * T + jj) * ldz + is * T;
-        for (index_t ii = 0; ii < iw; ++ii)
-          cc[ii] = Scalar(Acc(cc[ii]) - acc[jj][ii]);
-      }
-    }
-  }
+  std::vector<Scalar> lp, up;
+  pack_strips(rows, kb, l, 1, ldz, lp);
+  pack_strips(cols, kb, u, ldz, 1, up);
+  for (index_t js = 0; js * T < cols; ++js)
+    for (index_t is = 0; is * T < rows; ++is)
+      tile_subtract(lp.data() + static_cast<size_t>(is) * kb * T,
+                    up.data() + static_cast<size_t>(js) * kb * T, kb,
+                    c + (js * T) * ldz + is * T, ldz,
+                    std::min<index_t>(T, rows - is * T),
+                    std::min<index_t>(T, cols - js * T), false);
+}
+
+/// Symmetric trailing update of a blocked Cholesky step: the LOWER triangle
+/// of the rows x rows block at c (leading dimension ld) gets -= L * L^T,
+/// where L is rows x kb at l.  One packing serves both operands, and tiles
+/// above the diagonal are skipped (the SYRK shape of lu_trailing_update).
+template <class Scalar>
+void syrk_trailing_update(index_t rows, index_t kb, const Scalar* l, Scalar* c,
+                          index_t ld) {
+  constexpr index_t T = kTile;
+  const size_t ldz = static_cast<size_t>(ld);
+  std::vector<Scalar> lp;
+  pack_strips(rows, kb, l, 1, ldz, lp);
+  for (index_t js = 0; js * T < rows; ++js)
+    for (index_t is = js; is * T < rows; ++is)
+      tile_subtract(lp.data() + static_cast<size_t>(is) * kb * T,
+                    lp.data() + static_cast<size_t>(js) * kb * T, kb,
+                    c + (js * T) * ldz + is * T, ldz,
+                    std::min<index_t>(T, rows - is * T),
+                    std::min<index_t>(T, rows - js * T), is == js);
 }
 
 }  // namespace detail
 
-/// Panel width of lu_factor_blocked.  Widths from 16 to 96 time within run
-/// noise of each other on a 1240^2 block (x86-64, SSE2 build).
+/// Panel width of lu_factor_blocked and partial_cholesky.  Widths from 16
+/// to 96 time within run noise of each other on a 1240^2 LU block (x86-64,
+/// SSE2 build).
 inline constexpr index_t kLuPanelWidth = 32;
+
+/// In-place partial Cholesky of the leading k x k block of the symmetric
+/// n x n column-major array f, updating the trailing (n-k) x (n-k) block
+/// with the Schur complement.  Blocked right-looking:
+/// each panel of kLuPanelWidth pivot columns is factored unblocked, then
+/// everything right of it gets one rank-kb SYRK update.  On return the
+/// lower leading block holds L (including the sqrt diagonal), the
+/// off-diagonal block holds L21 = A21 * L11^{-T}, and the LOWER TRIANGLE of
+/// the trailing block holds A22 - L21 * L21^T (the upper triangle is not
+/// referenced or updated, as in LAPACK 'L' routines).  Serial and
+/// deterministic.  Throws on a non-positive pivot.
+template <class Scalar>
+void partial_cholesky(Scalar* f, index_t n, index_t k) {
+  const size_t ldz = static_cast<size_t>(n);
+  for (index_t p = 0; p < k; p += kLuPanelWidth) {
+    const index_t pend = std::min(p + kLuPanelWidth, k);
+    for (index_t j = p; j < pend; ++j) {
+      Scalar* cj = f + j * ldz;
+      Scalar d = cj[j];
+      FROSCH_CHECK(d > Scalar(0), "partial_cholesky: non-positive pivot at "
+                                      << j << " (" << d << ")");
+      d = std::sqrt(d);
+      cj[j] = d;
+      for (index_t i = j + 1; i < n; ++i) cj[i] /= d;
+      for (index_t c = j + 1; c < pend; ++c) {
+        Scalar* cc = f + c * ldz;
+        const Scalar ljc = cj[c];
+        for (index_t i = c; i < n; ++i) cc[i] -= cj[i] * ljc;
+      }
+    }
+    if (pend < n)
+      detail::syrk_trailing_update(n - pend, pend - p, f + p * ldz + pend,
+                                   f + pend * ldz + pend, n);
+  }
+}
+
+/// partial_cholesky of the square DenseMatrix F (see above).
+template <class Scalar>
+void partial_cholesky(DenseMatrix<Scalar>& F, index_t k,
+                      OpProfile* prof = nullptr) {
+  const index_t n = F.num_rows();
+  FROSCH_CHECK(F.num_cols() == n && k <= n, "partial_cholesky: bad dims");
+  partial_cholesky(F.data(), n, k);
+  if (prof) {
+    double flops = 0.0;
+    for (index_t j = 0; j < k; ++j)
+      flops += 2.0 * double(n - j) * double(n - j);
+    prof->flops += flops;
+    prof->bytes += double(n) * double(n) * sizeof(Scalar);
+    prof->launches += 3;  // potrf + trsm + syrk as a GPU would batch them
+    prof->critical_path += 3;
+    prof->work_items += double(n) * double(n);
+  }
+}
 
 /// Blocked right-looking LU with partial pivoting, the LAPACK getrf shape:
 /// factors P A = L U in place (unit L strictly below the diagonal, U on and

@@ -2,6 +2,7 @@
 // symbolic Cholesky, Gilbert-Peierls LU, multifrontal Cholesky, supernodes.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
 #include <string>
 
@@ -246,6 +247,167 @@ TEST(Supernodes, TrivialOnDiagonalMatrix) {
   chol.symbolic(A);
   chol.numeric(A);
   EXPECT_EQ(chol.factorization().sn_ptr.size(), 6u);  // every column alone
+}
+
+// ---------------------------------------------------------------------------
+// Supernodal fronts of the multifrontal Cholesky.
+
+/// Nested-dissection ordering of a node-blocked matrix (b dofs per node),
+/// computed on the node quotient graph and expanded blockwise.
+la::CsrMatrix<double> nd_ordered(const la::CsrMatrix<double>& A, index_t b) {
+  const index_t n = A.num_rows(), nq = n / b;
+  la::TripletBuilder<char> qb(nq, nq);
+  for (index_t i = 0; i < n; ++i)
+    for (index_t k = A.row_begin(i); k < A.row_end(i); ++k)
+      if (i / b != A.col(k) / b) qb.add(i / b, A.col(k) / b, 1);
+  const IndexVector qperm =
+      graph::nested_dissection(graph::build_graph(qb.build()));
+  IndexVector perm(static_cast<size_t>(n));
+  for (index_t q = 0; q < nq; ++q)
+    for (index_t c = 0; c < b; ++c) perm[q * b + c] = qperm[q] * b + c;
+  return la::permute_symmetric(A, perm);
+}
+
+index_t widest_supernode(const Factorization<double>& f) {
+  index_t w = 0;
+  for (size_t s = 0; s + 1 < f.sn_ptr.size(); ++s)
+    w = std::max(w, f.sn_ptr[s + 1] - f.sn_ptr[s]);
+  return w;
+}
+
+/// Factors A (whose widest supernode must span several dense panels) and
+/// checks L L^T against A and the solution against the pivoting LU.
+void check_supernodal_factor(const la::CsrMatrix<double>& A) {
+  MultifrontalCholesky<double> chol;
+  chol.symbolic(A);
+  chol.numeric(A);
+  const auto& f = chol.factorization();
+  EXPECT_GT(widest_supernode(f), la::kLuPanelWidth);
+
+  const auto LLt = la::spgemm(f.L, f.U);
+  double amax = 0.0, err = 0.0;
+  for (index_t i = 0; i < A.num_rows(); ++i) {
+    for (index_t k = A.row_begin(i); k < A.row_end(i); ++k)
+      amax = std::max(amax, std::abs(A.val(k)));
+    for (index_t k = LLt.row_begin(i); k < LLt.row_end(i); ++k)
+      err = std::max(err, std::abs(LLt.val(k) - A.at(i, LLt.col(k))));
+  }
+  EXPECT_LE(err, 1e-12 * amax);
+
+  auto xref = random_vector(A.num_rows(), 61);
+  std::vector<double> b;
+  la::spmv(A, xref, b);
+  GilbertPeierlsLu<double> lu;
+  lu.symbolic(A);
+  lu.numeric(A);
+  const auto xlu = solve_with(lu.factorization(), b);
+  const auto xch = solve_with(f, b);
+  for (index_t i = 0; i < A.num_rows(); ++i)
+    EXPECT_NEAR(xch[i], xlu[i], 1e-10);
+}
+
+TEST(MultifrontalSupernodes, NdLaplace3dFactorsAcrossPanels) {
+  check_supernodal_factor(nd_ordered(test::laplace_problem(10, 1, 1, 1).A, 1));
+}
+
+TEST(MultifrontalSupernodes, NodeBlockedElasticityFactorsAcrossPanels) {
+  check_supernodal_factor(
+      nd_ordered(test::elasticity_problem(6, 1, 1, 1).A, 3));
+}
+
+TEST(MultifrontalSupernodes, IndefiniteInsideWideSupernodeThrows) {
+  // The last column belongs to the widest supernode (the top separator);
+  // a negative diagonal there makes its pivot negative.
+  auto A = nd_ordered(test::laplace_problem(8, 1, 1, 1).A, 1);
+  MultifrontalCholesky<double> chol;
+  chol.symbolic(A);
+  chol.numeric(A);
+  const auto& sn = chol.factorization().sn_ptr;
+  ASSERT_GT(sn[sn.size() - 1] - sn[sn.size() - 2], la::kLuPanelWidth);
+  const index_t last = A.num_rows() - 1;
+  A.val(A.find(last, last)) = -1.0;
+  try {
+    chol.numeric(A);
+    FAIL() << "indefinite matrix factored";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("non-positive pivot"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+template <class Scalar>
+double supernodal_solve_error() {
+  const auto Ad = nd_ordered(test::laplace_problem(6, 1, 1, 1).A, 1);
+  const index_t n = Ad.num_rows();
+  const auto xd = random_vector(n, 71);
+  std::vector<double> bd;
+  la::spmv(Ad, xd, bd);
+  std::vector<Scalar> b(bd.begin(), bd.end());
+  const auto A = Ad.convert<Scalar>();
+  MultifrontalCholesky<Scalar> chol;
+  chol.symbolic(A);
+  chol.numeric(A);
+  const auto x = solve_with(chol.factorization(), b);
+  double err = 0.0;
+  for (index_t i = 0; i < n; ++i)
+    err = std::max(err, std::abs(double(x[i]) - xd[i]));
+  return err;
+}
+
+TEST(MultifrontalSupernodes, FloatAndHalfSolveToTheirPrecision) {
+  EXPECT_LT(supernodal_solve_error<float>(), 1e-5);
+  EXPECT_LT(supernodal_solve_error<half>(), 1e-2);
+}
+
+TEST(MultifrontalSupernodes, RefactorReproducesTheFactorBitwise) {
+  // numeric(A), numeric(4A), numeric(A): the per-call workspaces carry no
+  // state, so the third factor is the first bit for bit.
+  const auto A = nd_ordered(test::laplace_problem(8, 1, 1, 1).A, 1);
+  auto A4 = A;
+  for (auto& v : A4.values()) v *= 4.0;
+  MultifrontalCholesky<double> chol;
+  chol.symbolic(A);
+  chol.numeric(A);
+  const auto L1 = chol.factorization().L.values();
+  const auto U1 = chol.factorization().U.values();
+  chol.numeric(A4);
+  chol.numeric(A);
+  const auto& f = chol.factorization();
+  ASSERT_EQ(f.L.values().size(), L1.size());
+  ASSERT_EQ(f.U.values().size(), U1.size());
+  EXPECT_EQ(std::memcmp(f.L.values().data(), L1.data(),
+                        L1.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(f.U.values().data(), U1.data(),
+                        U1.size() * sizeof(double)),
+            0);
+}
+
+TEST(MultifrontalSupernodes, EntryOutsideTheSymbolicPatternThrows) {
+  // Same dimension and entry count, but the (1, 0) pair moved to (3, 0):
+  // L(3, 0) is not in the tridiagonal factor's pattern.
+  const auto A = test::tridiag(6);
+  la::TripletBuilder<double> tb(6, 6);
+  for (index_t i = 0; i < 6; ++i)
+    for (index_t k = A.row_begin(i); k < A.row_end(i); ++k) {
+      index_t r = i, c = A.col(k);
+      if (r == 1 && c == 0) r = 3;
+      if (r == 0 && c == 1) c = 3;
+      tb.add(r, c, A.val(k));
+    }
+  const auto moved = tb.build();
+  ASSERT_EQ(moved.num_entries(), A.num_entries());
+  MultifrontalCholesky<double> chol;
+  chol.symbolic(A);
+  try {
+    chol.numeric(moved);
+    FAIL() << "matrix outside the symbolic pattern factored";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("entry (3, 0) is outside"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 class DirectSweep : public ::testing::TestWithParam<std::tuple<index_t, bool>> {};

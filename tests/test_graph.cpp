@@ -121,6 +121,21 @@ TEST(NestedDissection, TinyGraphsAreLeaves) {
   EXPECT_TRUE(is_permutation(perm, g.n));
 }
 
+TEST(NestedDissection, ProfileRecordsTraversalWithoutChangingTheOrder) {
+  auto g = build_graph(laplace2d(15, 15));
+  OpProfile prof;
+  EXPECT_EQ(nested_dissection(g, {}, &prof), nested_dissection(g));
+  // At least the component pass plus two sweeps of the first bisection
+  // over the whole adjacency, priced like recursive_bisection.
+  const double adj = static_cast<double>(g.xadj[g.n]);
+  EXPECT_GE(prof.work_items, 3.0 * adj);
+  EXPECT_DOUBLE_EQ(prof.bytes, prof.work_items * 3.0 * sizeof(index_t));
+  EXPECT_GE(prof.launches, 3);  // one split at least
+  EXPECT_EQ(prof.launches % 2, 1);
+  EXPECT_GE(prof.critical_path, 2);
+  EXPECT_EQ(prof.flops, 0.0);
+}
+
 TEST(BalancedFactors, FactorsCommonRankCounts) {
   auto f42 = balanced_factors_3d(42, 100, 100, 100);
   EXPECT_EQ(f42[0] * f42[1] * f42[2], 42);

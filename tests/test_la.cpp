@@ -194,38 +194,41 @@ TEST(VectorOps, MultiDotOneReduction) {
 
 TEST(Dense, PartialCholeskyFormsSchurComplement) {
   // F = [A11 A21^T; A21 A22], SPD; after partial_cholesky(F, k) the trailing
-  // block must equal A22 - A21 A11^{-1} A21^T.
-  const index_t n = 5, k = 3;
-  DenseMatrix<double> M(n, n);
-  std::mt19937 rng(13);
-  std::uniform_real_distribution<double> u(-1, 1);
-  DenseMatrix<double> B(n, n);
-  for (index_t i = 0; i < n; ++i)
-    for (index_t j = 0; j < n; ++j) B(i, j) = u(rng);
-  // M = B*B^T + n*I  (SPD)
-  for (index_t i = 0; i < n; ++i) {
-    for (index_t j = 0; j < n; ++j) {
-      double s = (i == j) ? double(n) : 0.0;
-      for (index_t c = 0; c < n; ++c) s += B(i, c) * B(j, c);
-      M(i, j) = s;
+  // block must equal A22 - A21 A11^{-1} A21^T.  The second size spans three
+  // pivot panels and ends in ragged 4x4 tiles.
+  for (const auto& [n, k] : {std::pair<index_t, index_t>{5, 3}, {101, 70}}) {
+    SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k));
+    DenseMatrix<double> M(n, n);
+    std::mt19937 rng(13);
+    std::uniform_real_distribution<double> u(-1, 1);
+    DenseMatrix<double> B(n, n);
+    for (index_t i = 0; i < n; ++i)
+      for (index_t j = 0; j < n; ++j) B(i, j) = u(rng);
+    // M = B*B^T + n*I  (SPD)
+    for (index_t i = 0; i < n; ++i) {
+      for (index_t j = 0; j < n; ++j) {
+        double s = (i == j) ? double(n) : 0.0;
+        for (index_t c = 0; c < n; ++c) s += B(i, c) * B(j, c);
+        M(i, j) = s;
+      }
     }
-  }
-  DenseMatrix<double> F = M;
-  partial_cholesky(F, k);
-  // Reference Schur complement via dense LU solve of A11.
-  DenseMatrix<double> A11(k, k);
-  for (index_t i = 0; i < k; ++i)
-    for (index_t j = 0; j < k; ++j) A11(i, j) = M(i, j);
-  IndexVector piv;
-  lu_factor(A11, piv);
-  for (index_t c = k; c < n; ++c) {
-    std::vector<double> rhs(k);
-    for (index_t i = 0; i < k; ++i) rhs[i] = M(i, c);
-    lu_solve(A11, piv, rhs);
-    for (index_t r = c; r < n; ++r) {  // lower triangle only (LAPACK 'L')
-      double s = M(r, c);
-      for (index_t i = 0; i < k; ++i) s -= M(r, i) * rhs[i];
-      EXPECT_NEAR(F(r, c), s, 1e-10) << "Schur mismatch at " << r << "," << c;
+    DenseMatrix<double> F = M;
+    partial_cholesky(F, k);
+    // Reference Schur complement via dense LU solve of A11.
+    DenseMatrix<double> A11(k, k);
+    for (index_t i = 0; i < k; ++i)
+      for (index_t j = 0; j < k; ++j) A11(i, j) = M(i, j);
+    IndexVector piv;
+    lu_factor(A11, piv);
+    for (index_t c = k; c < n; ++c) {
+      std::vector<double> rhs(k);
+      for (index_t i = 0; i < k; ++i) rhs[i] = M(i, c);
+      lu_solve(A11, piv, rhs);
+      for (index_t r = c; r < n; ++r) {  // lower triangle only (LAPACK 'L')
+        double s = M(r, c);
+        for (index_t i = 0; i < k; ++i) s -= M(r, i) * rhs[i];
+        EXPECT_NEAR(F(r, c), s, 1e-10) << "Schur mismatch at " << r << "," << c;
+      }
     }
   }
 }

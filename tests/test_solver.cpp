@@ -826,9 +826,11 @@ TEST(RefreshSuite, BitwiseIdenticalToColdSetupThroughThreeLevelHierarchy) {
 }
 
 TEST(RefreshSuite, FiveMatrixScaledSequencePinsIterations) {
-  // Power-of-two scalings are exact in floating point, so the whole Krylov
-  // trajectory scales exactly: every step of the sequence must converge in
-  // the SAME iteration count, each refreshed solve bitwise matching a cold
+  // Scaling by 4^step is exact in floating point, and so is the square root
+  // every Cholesky pivot picks up (2^step), so the whole Krylov trajectory
+  // scales exactly: every step of the sequence must reproduce step 0's
+  // residual history bit for bit, its solution must be step 0's divided by
+  // 4^step exactly, and each refreshed solve must bitwise match a cold
   // solver on that step's matrix.
   auto p = test::laplace_problem(16, 2, 2, 2);
   SolverConfig cfg;
@@ -840,7 +842,7 @@ TEST(RefreshSuite, FiveMatrixScaledSequencePinsIterations) {
   ASSERT_TRUE(rep0.converged);
   for (int step = 1; step < 5; ++step) {
     auto Ak = p.A;
-    const double scale = static_cast<double>(1 << step);
+    const double scale = static_cast<double>(1 << (2 * step));
     for (auto& v : Ak.values()) v *= scale;
     warm.refresh(Ak);
     std::vector<double> xr;
@@ -848,6 +850,18 @@ TEST(RefreshSuite, FiveMatrixScaledSequencePinsIterations) {
     ASSERT_TRUE(rep.converged) << "step " << step;
     EXPECT_TRUE(rep.setup_reused);
     EXPECT_EQ(rep.iterations, rep0.iterations) << "step " << step;
+    ASSERT_EQ(rep.residual_history.size(), rep0.residual_history.size())
+        << "step " << step;
+    EXPECT_EQ(std::memcmp(rep.residual_history.data(),
+                          rep0.residual_history.data(),
+                          rep0.residual_history.size() * sizeof(double)),
+              0)
+        << "step " << step;
+    ASSERT_EQ(xr.size(), x0.size());
+    size_t unscaled = 0;
+    for (size_t i = 0; i < xr.size(); ++i)
+      if (xr[i] * scale != x0[i]) ++unscaled;
+    EXPECT_EQ(unscaled, 0u) << "step " << step;
 
     Solver cold(cfg);
     cold.setup(Ak, p.Z, p.owner, p.num_parts);
