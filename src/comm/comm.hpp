@@ -227,9 +227,7 @@ class Communicator {
   template <class Scalar>
   void allreduce_slots(const Scalar* slots, index_t nslots, int k,
                        Scalar* out) {
-    for (int j = 0; j < k; ++j) out[j] = Scalar(0);
-    for (index_t s = 0; s < nslots; ++s)
-      for (int j = 0; j < k; ++j) out[j] += slots[s * k + j];
+    fold_slots(slots, nslots, k, out);
     // Each rank's partial is dense in the k fused values: full payload
     // across PCIe each way (contrast gather/broadcast's sliced payloads).
     const double payload = static_cast<double>(k) * sizeof(Scalar);
@@ -262,10 +260,7 @@ class Communicator {
   /// not communication: copied, never charged.
   template <class CopyFn>
   void exchange(const std::vector<Message>& msgs, CopyFn&& copy) {
-    exec::parallel_for(
-        policy_, static_cast<index_t>(msgs.size()),
-        [&](index_t m) { copy(static_cast<size_t>(m)); },
-        /*grain=*/1);
+    run_copies(msgs, copy);
     post(msgs);
   }
 
@@ -284,18 +279,7 @@ class Communicator {
   /// 9 -- the refresh-ledger gate counts Halo bytes as base-layer motion).
   void post(const std::vector<Message>& msgs,
             device::Xfer family = device::Xfer::Halo) {
-    device::DeviceArena* arena = device::arena_of(policy_);
-    for (const auto& m : msgs) {
-      if (m.src == m.dst) continue;
-      auto& p = prof(m.dst);
-      p.neighbor_msgs += 1;
-      p.msg_bytes += m.bytes;
-      if (arena != nullptr) {
-        arena->transfer(world_rank(m.src), device::Dir::D2H, m.bytes, family);
-        arena->transfer(world_rank(m.dst), device::Dir::H2D, m.bytes, family);
-      }
-    }
-    if (arena != nullptr) arena->sync_all();
+    record_exchange(msgs, family, nullptr);
   }
 
   // ---- nonblocking semantics: post now, charge wire time at wait ----
@@ -318,10 +302,7 @@ class Communicator {
   template <class CopyFn>
   PendingExchange exchange_async(const std::vector<Message>& msgs,
                                  CopyFn&& copy) {
-    exec::parallel_for(
-        policy_, static_cast<index_t>(msgs.size()),
-        [&](index_t m) { copy(static_cast<size_t>(m)); },
-        /*grain=*/1);
+    run_copies(msgs, copy);
     return post_async(msgs);
   }
 
@@ -329,17 +310,16 @@ class Communicator {
   /// fold happens at POST (later writes to `slots` cannot change the
   /// result), the wire event is charged at wait(), when the folded
   /// values land in `out`.  `out` must stay valid until then.  One call
-  /// == one wire all-reduce, counted in both the reduction total and its
-  /// async ov_ twin, with the post->wait window measured on every
-  /// participating rank (collectives are bulk-synchronous).
+  /// == one wire all-reduce, counted exactly as the blocking form counts
+  /// it (a subset reduction on a SubComm) plus its async ov_ twins, with
+  /// the post->wait window measured on every participating rank
+  /// (collectives are bulk-synchronous).
   template <class Scalar>
   PendingReduce<Scalar> allreduce_slots_async(const Scalar* slots,
                                               index_t nslots, int k,
                                               Scalar* out) {
-    std::vector<Scalar> result(static_cast<size_t>(k), Scalar(0));
-    for (index_t s = 0; s < nslots; ++s)
-      for (int j = 0; j < k; ++j)
-        result[static_cast<size_t>(j)] += slots[s * k + j];
+    std::vector<Scalar> result(static_cast<size_t>(k));
+    fold_slots(slots, nslots, k, result.data());
     return PendingReduce<Scalar>(this, std::move(result), out,
                                  static_cast<double>(k) * sizeof(Scalar));
   }
@@ -376,12 +356,28 @@ class Communicator {
   /// When nranks == 1 the "collective" degenerates to a host-side fold of
   /// local partials -- no wire message, no staging (matching the msg_bytes
   /// rule), which is what keeps a single-rank Krylov iteration's steady
-  /// state transfer-free.
-  void record_collective(double bytes, double pcie_bytes_per_rank) {
+  /// state transfer-free.  The event COUNT still records on a single rank,
+  /// so profiles stay comparable across rank counts.
+  ///
+  /// `window` is the measured post->wait interval of an async collective
+  /// (PendingReduce::wait): the payload is then also counted in its ov_
+  /// twin and every rank records the window.  Blocking calls pass none and
+  /// record no ov_ field.
+  void record_collective(double bytes, double pcie_bytes_per_rank,
+                         const double* window = nullptr) {
     device::DeviceArena* arena =
         nranks_ > 1 ? device::arena_of(policy_) : nullptr;
     for (int r = 0; r < nranks_; ++r) {
-      charge_collective(prof(r), bytes);
+      OpProfile& p = prof(r);
+      count_collective(p, window != nullptr);
+      if (nranks_ > 1) {
+        p.msg_bytes += bytes;
+        if (window != nullptr) {
+          p.ov_msg_bytes += bytes;
+          p.overlap_windows += 1;
+          p.overlap_s += *window;
+        }
+      }
       if (arena != nullptr) {
         arena->transfer(world_rank(r), device::Dir::D2H, pcie_bytes_per_rank,
                         device::Xfer::Collective);
@@ -392,12 +388,13 @@ class Communicator {
     if (arena != nullptr) arena->sync_all();
   }
 
-  /// Per-rank bookkeeping of one blocking collective: the global
-  /// communicators count a full-fabric reduction; a SubComm overrides this
-  /// to count a subset reduction whose tree spans only its members.
-  virtual void charge_collective(OpProfile& p, double bytes) {
+  /// Per-rank event count of one collective: the global communicators
+  /// count a full-fabric reduction (and its ov_ twin when posted async); a
+  /// SubComm overrides this to count a subset reduction whose tree spans
+  /// only its members.
+  virtual void count_collective(OpProfile& p, bool async) {
     p.reductions += 1;
-    p.msg_bytes += nranks_ > 1 ? bytes : 0.0;
+    if (async) p.ov_reductions += 1;
   }
 
  private:
@@ -405,59 +402,52 @@ class Communicator {
   template <class S>
   friend class PendingReduce;
 
-  /// Wait side of post_async: post()'s charging plus the async ov_ twins
-  /// and one measured window per destination rank that had remote
-  /// traffic.  Self-messages stay local copies -- never charged, never
-  /// windowed -- so a SelfComm exchange completes inline.
-  void complete_async_exchange(const std::vector<Message>& msgs,
-                               double window) {
+  /// The deterministic slot-order fold shared by both all-reduce forms.
+  template <class Scalar>
+  static void fold_slots(const Scalar* slots, index_t nslots, int k,
+                         Scalar* out) {
+    for (int j = 0; j < k; ++j) out[j] = Scalar(0);
+    for (index_t s = 0; s < nslots; ++s)
+      for (int j = 0; j < k; ++j) out[j] += slots[s * k + j];
+  }
+
+  /// The payload movement shared by both exchange forms: copy(m) for every
+  /// message, in parallel.
+  template <class CopyFn>
+  void run_copies(const std::vector<Message>& msgs, CopyFn& copy) {
+    exec::parallel_for(
+        policy_, static_cast<index_t>(msgs.size()),
+        [&](index_t m) { copy(static_cast<size_t>(m)); },
+        /*grain=*/1);
+  }
+
+  /// The charging of post() and of PendingExchange::wait().  Each remote
+  /// message charges its destination rank; self-messages are local copies,
+  /// never charged.  `window` (async completion only) adds the ov_ twins
+  /// and one measured window per destination rank that had remote traffic,
+  /// so a SelfComm exchange completes with no window.
+  void record_exchange(const std::vector<Message>& msgs, device::Xfer family,
+                       const double* window) {
     device::DeviceArena* arena = device::arena_of(policy_);
-    std::vector<char> windowed(static_cast<size_t>(nranks_), 0);
+    std::vector<char> windowed(
+        window != nullptr ? static_cast<size_t>(nranks_) : 0, 0);
     for (const auto& m : msgs) {
       if (m.src == m.dst) continue;
       auto& p = prof(m.dst);
       p.neighbor_msgs += 1;
       p.msg_bytes += m.bytes;
-      p.ov_neighbor_msgs += 1;
-      p.ov_msg_bytes += m.bytes;
-      if (!windowed[static_cast<size_t>(m.dst)]) {
-        windowed[static_cast<size_t>(m.dst)] = 1;
-        p.overlap_windows += 1;
-        p.overlap_s += window;
+      if (window != nullptr) {
+        p.ov_neighbor_msgs += 1;
+        p.ov_msg_bytes += m.bytes;
+        if (!windowed[static_cast<size_t>(m.dst)]) {
+          windowed[static_cast<size_t>(m.dst)] = 1;
+          p.overlap_windows += 1;
+          p.overlap_s += *window;
+        }
       }
       if (arena != nullptr) {
-        arena->transfer(world_rank(m.src), device::Dir::D2H, m.bytes,
-                        device::Xfer::Halo);
-        arena->transfer(world_rank(m.dst), device::Dir::H2D, m.bytes,
-                        device::Xfer::Halo);
-      }
-    }
-    if (arena != nullptr) arena->sync_all();
-  }
-
-  /// Wait side of allreduce_slots_async: record_collective's charging
-  /// plus the async ov_ twins.  The reduction COUNT (and its ov_ twin)
-  /// still records on a single rank -- profiles stay comparable across
-  /// rank counts, exactly as for the blocking collectives -- but wire
-  /// payload and overlap windows only exist when there is a wire.
-  void complete_async_collective(double bytes, double window) {
-    device::DeviceArena* arena =
-        nranks_ > 1 ? device::arena_of(policy_) : nullptr;
-    for (int r = 0; r < nranks_; ++r) {
-      auto& p = prof(r);
-      p.reductions += 1;
-      p.ov_reductions += 1;
-      if (nranks_ > 1) {
-        p.msg_bytes += bytes;
-        p.ov_msg_bytes += bytes;
-        p.overlap_windows += 1;
-        p.overlap_s += window;
-      }
-      if (arena != nullptr) {
-        arena->transfer(world_rank(r), device::Dir::D2H, bytes,
-                        device::Xfer::Collective);
-        arena->transfer(world_rank(r), device::Dir::H2D, bytes,
-                        device::Xfer::Collective);
+        arena->transfer(world_rank(m.src), device::Dir::D2H, m.bytes, family);
+        arena->transfer(world_rank(m.dst), device::Dir::H2D, m.bytes, family);
       }
     }
     if (arena != nullptr) arena->sync_all();
@@ -474,7 +464,8 @@ inline void PendingExchange::wait() {
                "contract is exactly one wait per post)");
   waited_ = true;
   if (comm_ == nullptr) return;  // default-constructed or moved-from
-  comm_->complete_async_exchange(msgs_, timer_.seconds());
+  const double window = timer_.seconds();
+  comm_->record_exchange(msgs_, device::Xfer::Halo, &window);
 }
 
 template <class Scalar>
@@ -485,7 +476,8 @@ void PendingReduce<Scalar>::wait() {
   waited_ = true;
   if (comm_ == nullptr) return;  // default-constructed or moved-from
   for (size_t j = 0; j < result_.size(); ++j) out_[j] = result_[j];
-  comm_->complete_async_collective(payload_, timer_.seconds());
+  const double window = timer_.seconds();
+  comm_->record_collective(payload_, payload_, &window);
 }
 
 /// The one-rank communicator: the shared-memory path seen through the comm
@@ -544,10 +536,13 @@ class SubComm final : public Communicator {
   const std::vector<int>& members() const { return members_; }
 
  protected:
-  void charge_collective(OpProfile& p, double bytes) override {
+  /// Subset reductions carry no ov_ count: ov_reductions is a subset of
+  /// the full-fabric `reductions`, which a subset event never touches.
+  /// An async subset collective is still marked by its ov_msg_bytes and
+  /// its measured window.
+  void count_collective(OpProfile& p, bool /*async*/) override {
     p.sub_reductions += 1;
     p.sub_red_log2 += red_log2_;
-    p.msg_bytes += size() > 1 ? bytes : 0.0;
   }
 
  private:

@@ -1,3 +1,3 @@
-// Intentionally empty: Timer/TimerRegistry are header-only, this TU anchors
-// the frosch_common library target.
+// Intentionally empty: Timer is header-only; this TU anchors the
+// frosch_common library target.
 #include "common/timer.hpp"

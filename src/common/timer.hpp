@@ -3,8 +3,6 @@
 #pragma once
 
 #include <chrono>
-#include <map>
-#include <string>
 
 namespace frosch {
 
@@ -21,21 +19,6 @@ class Timer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates named wall-clock intervals (used for setup breakdowns).
-class TimerRegistry {
- public:
-  void add(const std::string& name, double seconds) { totals_[name] += seconds; }
-  double total(const std::string& name) const {
-    auto it = totals_.find(name);
-    return it == totals_.end() ? 0.0 : it->second;
-  }
-  const std::map<std::string, double>& totals() const { return totals_; }
-  void clear() { totals_.clear(); }
-
- private:
-  std::map<std::string, double> totals_;
 };
 
 }  // namespace frosch

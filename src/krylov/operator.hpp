@@ -7,7 +7,6 @@
 
 #include "common/op_profile.hpp"
 #include "la/block.hpp"
-#include "la/dist.hpp"
 #include "la/spmv.hpp"
 
 namespace frosch::krylov {
@@ -85,17 +84,11 @@ class LinearOperator {
   }
 };
 
-/// CSR matrix as an operator; the halo exchange of a distributed SpMV is
-/// charged as neighbor messages on the profile.  The row-parallel SpMV runs
-/// under the given execution policy.
+/// CSR matrix as an operator: the shared-memory SpMV.
 template <class Scalar>
 class CsrOperator final : public LinearOperator<Scalar> {
  public:
-  explicit CsrOperator(const la::CsrMatrix<Scalar>& A, count_t halo_msgs = 0,
-                       double halo_bytes = 0.0,
-                       const exec::ExecPolicy& policy = {})
-      : A_(A), halo_msgs_(halo_msgs), halo_bytes_(halo_bytes),
-        policy_(policy) {}
+  explicit CsrOperator(const la::CsrMatrix<Scalar>& A) : A_(A) {}
 
   index_t rows() const override { return A_.num_rows(); }
   index_t cols() const override { return A_.num_cols(); }
@@ -103,53 +96,46 @@ class CsrOperator final : public LinearOperator<Scalar> {
  protected:
   void apply_impl(const std::vector<Scalar>& x, std::vector<Scalar>& y,
                   OpProfile* prof) const override {
-    la::spmv(A_, x, y, Scalar(1), Scalar(0), prof, policy_);
-    if (prof) {
-      prof->neighbor_msgs += halo_msgs_;
-      prof->msg_bytes += halo_bytes_;
-    }
+    la::spmv(A_, x, y, Scalar(1), Scalar(0), prof);
   }
 
  private:
   const la::CsrMatrix<Scalar>& A_;
-  count_t halo_msgs_;
-  double halo_bytes_;
-  exec::ExecPolicy policy_;
 };
 
 /// The rank-sharded operator of the virtual distributed runtime: every
 /// application scatters the owned entries, performs the REAL ghost import
 /// (measured messages + payload through the communicator), runs the
 /// rank-local SpMVs, and gathers the owned results.  Bitwise identical to
-/// CsrOperator at every rank count (see la/dist.hpp).
+/// CsrOperator at every rank count (see la/dist.hpp).  A single vector is
+/// the width-1 case of the block path: one kernel, la::dist_spmv_multi,
+/// serves apply() and apply_columns().
 ///
 /// `overlap` (default on, the SolverConfig `overlap_comm` key) selects the
-/// overlapped path: the ghost import is POSTED, interior rows compute while
-/// it is in flight, and boundary rows follow the wait -- bitwise identical
-/// to the blocking path by the whole-row split contract, with the measured
-/// post->wait window recorded in the comm profiles.
+/// overlapped schedule: the ghost import is POSTED, interior rows compute
+/// while it is in flight, and boundary rows follow the wait -- bitwise
+/// identical to the blocking schedule by the whole-row split contract, with
+/// the measured post->wait window recorded in the comm profiles.
 template <class Scalar>
 class DistCsrOperator final : public LinearOperator<Scalar> {
  public:
   DistCsrOperator(const la::DistCsrMatrix<Scalar>& A, comm::Communicator& comm,
                   const exec::ExecPolicy& policy = {}, bool overlap = true)
-      : A_(A), comm_(comm), policy_(policy), overlap_(overlap), x_(*A.plan),
-        y_(*A.plan), halo_msgs_(A.plan->messages(sizeof(Scalar))) {}
+      : A_(A), comm_(comm), policy_(policy), overlap_(overlap),
+        x1_(*A.plan, 1), y1_(*A.plan, 1),
+        halo_msgs_(A.plan->messages(sizeof(Scalar))) {}
 
   index_t rows() const override { return A_.plan->n; }
   index_t cols() const override { return A_.plan->n; }
 
  protected:
+  /// Width-1 block application through its own cached staging, so it stays
+  /// allocation-free however it interleaves with block applications.
   void apply_impl(const std::vector<Scalar>& x, std::vector<Scalar>& y,
                   OpProfile* prof) const override {
-    x_.scatter_owned(x, policy_);
-    if (overlap_) {
-      la::dist_spmv_overlapped(comm_, A_, halo_msgs_, x_, y_, prof);
-    } else {
-      la::halo_import(comm_, *A_.plan, halo_msgs_, x_);
-      la::dist_spmv(comm_, A_, x_, y_, prof);
-    }
-    y_.gather_owned(y, policy_);
+    x_col_[0] = &x;
+    y_col_[0] = &y;
+    apply_staged(x_col_, y_col_, x1_, y1_, halo_msgs_, prof);
   }
 
   /// Fused block application: ONE ghost import (one message per transfer,
@@ -165,25 +151,31 @@ class DistCsrOperator final : public LinearOperator<Scalar> {
       yb_.init(*A_.plan, w);
       block_msgs_ = A_.plan->messages(sizeof(Scalar) * static_cast<double>(w));
     }
-    xb_.scatter_owned(X, policy_);
-    if (overlap_) {
-      la::dist_spmv_multi_overlapped(comm_, A_, block_msgs_, xb_, yb_, prof);
-    } else {
-      la::halo_import(comm_, *A_.plan, block_msgs_, xb_);
-      la::dist_spmv_multi(comm_, A_, xb_, yb_, prof);
-    }
-    yb_.gather_owned(Y, policy_);
+    apply_staged(X, Y, xb_, yb_, block_msgs_, prof);
   }
 
  private:
+  void apply_staged(const std::vector<const std::vector<Scalar>*>& X,
+                    const std::vector<std::vector<Scalar>*>& Y,
+                    la::DistMultiVector<Scalar>& xs,
+                    la::DistMultiVector<Scalar>& ys,
+                    const std::vector<comm::Message>& msgs,
+                    OpProfile* prof) const {
+    xs.scatter_owned(X, policy_);
+    la::dist_spmv_multi(comm_, A_, msgs, xs, ys, overlap_, prof);
+    ys.gather_owned(Y, policy_);
+  }
+
   const la::DistCsrMatrix<Scalar>& A_;
   comm::Communicator& comm_;
   exec::ExecPolicy policy_;
   bool overlap_;
-  mutable la::DistVector<Scalar> x_, y_;
+  mutable la::DistMultiVector<Scalar> x1_, y1_;  ///< width-1 staging
+  mutable std::vector<const std::vector<Scalar>*> x_col_{nullptr};
+  mutable std::vector<std::vector<Scalar>*> y_col_{nullptr};
+  std::vector<comm::Message> halo_msgs_;  ///< cached off the hot path
   mutable la::DistMultiVector<Scalar> xb_, yb_;  ///< block-apply staging
   mutable std::vector<comm::Message> block_msgs_;
-  std::vector<comm::Message> halo_msgs_;  ///< cached off the hot path
 };
 
 }  // namespace frosch::krylov

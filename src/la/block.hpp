@@ -1,21 +1,26 @@
-// Multi-column (block) extensions of the rank-sharded linear algebra in
-// la/dist.hpp -- the kernels behind the batched multi-RHS solve service:
+// Per-rank block vectors and the rank-sharded SpMV on top of la/dist.hpp
+// -- the kernels behind every distributed operator application, single
+// vector or batched multi-RHS:
 //
 //   DistMultiVector   per-rank packed storage of a WIDTH-column block over a
-//                     HaloPlan's local column spaces, column-major per rank.
-//   halo_import       block overload: ONE ghost exchange (one message per
-//                     transfer) moves every column's ghosts -- the payload
-//                     scales with the width, the message count does not.
-//   dist_spmv_multi   Y = A X for all columns in one pass over the matrix.
+//                     HaloPlan's local column spaces, column-major per rank
+//                     (a single vector is the width-1 block).
+//   halo_import       ONE ghost exchange (one message per transfer) moves
+//                     every column's ghosts -- the payload scales with the
+//                     width, the message count does not; halo_import_async
+//                     is its nonblocking form (one shared copy body).
+//   dist_spmv_multi   Y = A X for all columns in one pass over the matrix:
+//                     the one SpMV kernel, blocking or overlapped.
 //   dist_fused_dots   arbitrary list of dot products fused into ONE measured
 //                     all-reduce -- the kernel that lets a block Krylov
-//                     iteration perform a single collective for all columns.
+//                     iteration perform a single collective for all columns
+//                     (dist_fused_dots_async: the pipelined form).
 //
 // Determinism: each column's results are computed with exactly the kernels,
-// chunk grids, and summation orders of the single-vector path (dist.hpp /
-// vector_ops.hpp), so a width-1 block operation is bitwise identical to its
-// scalar twin, and a column's values never depend on which other columns
-// share the block (fused all-reduce slots fold independently).
+// chunk grids, and summation orders of the shared-memory path (la::spmv,
+// vector_ops.hpp), so every column is bitwise identical to its single-vector
+// result, and a column's values never depend on which other columns share
+// the block (fused all-reduce slots fold independently).
 #pragma once
 
 #include "la/dist.hpp"
@@ -113,14 +118,14 @@ struct DistMultiVector {
   }
 };
 
-/// Block ghost exchange: ONE message per transfer carries every column's
-/// ghost entries.  `msgs` must be plan.messages(sizeof(Scalar) * width) --
-/// the width-scaled payload of the fused import (cache it on the hot path).
+namespace detail {
+
+/// Message m's payload movement of a block ghost exchange: every column's
+/// ghost entries, from the owning rank's storage into the destination
+/// rank's ghost slots.
 template <class Scalar>
-void halo_import(comm::Communicator& comm, const HaloPlan& plan,
-                 const std::vector<comm::Message>& msgs,
-                 DistMultiVector<Scalar>& x) {
-  comm.exchange(msgs, [&](size_t m) {
+auto ghost_copy(const HaloPlan& plan, DistMultiVector<Scalar>& x) {
+  return [&plan, &x](size_t m) {
     const auto& t = plan.transfers[m];
     const auto& src = x.vals[static_cast<size_t>(t.src)];
     auto& dst = x.vals[static_cast<size_t>(t.dst)];
@@ -132,36 +137,38 @@ void halo_import(comm::Communicator& comm, const HaloPlan& plan,
       for (size_t q = 0; q < t.ids.size(); ++q)
         dc[t.dst_slots[q]] = sc[t.src_slots[q]];
     }
-  });
+  };
 }
 
-/// Nonblocking block ghost exchange: the copies of every column happen NOW
-/// (bitwise identical to the blocking block halo_import), the wire charging
-/// and the measured overlap window happen at wait().
+}  // namespace detail
+
+/// The REAL ghost exchange: ONE message per transfer carries every column's
+/// ghost entries, and the communicator records one message + the measured
+/// payload per transfer on the importing rank.  `msgs` must be
+/// plan.messages(sizeof(Scalar) * width) -- the width-scaled payload of the
+/// fused import (cache it on the hot path).
+template <class Scalar>
+void halo_import(comm::Communicator& comm, const HaloPlan& plan,
+                 const std::vector<comm::Message>& msgs,
+                 DistMultiVector<Scalar>& x) {
+  comm.exchange(msgs, detail::ghost_copy(plan, x));
+}
+
+/// Nonblocking ghost exchange: the copies of every column happen NOW (so
+/// ghost slots hold their final values and results stay bitwise identical
+/// to halo_import), the wire charging and the measured overlap window
+/// happen at the returned handle's wait().
 template <class Scalar>
 comm::PendingExchange halo_import_async(comm::Communicator& comm,
                                         const HaloPlan& plan,
                                         const std::vector<comm::Message>& msgs,
                                         DistMultiVector<Scalar>& x) {
-  return comm.exchange_async(msgs, [&](size_t m) {
-    const auto& t = plan.transfers[m];
-    const auto& src = x.vals[static_cast<size_t>(t.src)];
-    auto& dst = x.vals[static_cast<size_t>(t.dst)];
-    const size_t slen = plan.cols[static_cast<size_t>(t.src)].size();
-    const size_t dlen = plan.cols[static_cast<size_t>(t.dst)].size();
-    for (index_t c = 0; c < x.width; ++c) {
-      const Scalar* sc = src.data() + static_cast<size_t>(c) * slen;
-      Scalar* dc = dst.data() + static_cast<size_t>(c) * dlen;
-      for (size_t q = 0; q < t.ids.size(); ++q)
-        dc[t.dst_slots[q]] = sc[t.src_slots[q]];
-    }
-  });
+  return comm.exchange_async(msgs, detail::ghost_copy(plan, x));
 }
 
 namespace detail {
 
-/// Width-scaled local kernel accounting shared by dist_spmv_multi and its
-/// overlapped twin (identical by design, as for the single-vector pair).
+/// Width-scaled accounting of one rank's local kernel.
 template <class Scalar>
 OpProfile spmv_multi_local_profile(const CsrMatrix<Scalar>& Al, index_t w) {
   OpProfile p;
@@ -177,6 +184,11 @@ OpProfile spmv_multi_local_profile(const CsrMatrix<Scalar>& Al, index_t w) {
   return p;
 }
 
+/// Per-rank shares into the communicator's profiles, the aggregate into
+/// `prof`.  The same for both schedules BY DESIGN: the overlapped SpMV's
+/// benefit enters solely through the comm-side ov_/window fields its wait()
+/// records; the interior/boundary pass split is a host-side scheduling
+/// detail below the launch-accounting granularity.
 template <class Scalar>
 void charge_spmv_multi(comm::Communicator& comm,
                        const DistCsrMatrix<Scalar>& A, index_t w,
@@ -186,6 +198,9 @@ void charge_spmv_multi(comm::Communicator& comm,
     const auto& Al = A.local[static_cast<size_t>(r)];
     comm.prof(r) += spmv_multi_local_profile(Al, w);
     if (arena != nullptr) {
+      // The SpMV kernel reads the rank's local matrix on the device: a
+      // stale mirror measures the staging it forces; the steady state of a
+      // Krylov loop is a no-op here (the matrix was staged at setup).
       if (Al.num_entries() > 0)
         arena->to_device(r, Al.values().data(), Al.storage_bytes(),
                          device::Xfer::Matrix);
@@ -193,6 +208,8 @@ void charge_spmv_multi(comm::Communicator& comm,
     }
   }
   if (prof) {
+    // Aggregate view: the per-rank shares summed, as ONE bulk-synchronous
+    // launch (matching la::spmv's whole-matrix accounting).
     OpProfile agg;
     for (const auto& Al : A.local) {
       OpProfile p = spmv_multi_local_profile(Al, w);
@@ -208,62 +225,29 @@ void charge_spmv_multi(comm::Communicator& comm,
 
 }  // namespace detail
 
-/// Rank-sharded Y = A X over an ALREADY-IMPORTED block X: one pass over
-/// each rank's local matrix serves every column, so the matrix is streamed
-/// once per block application instead of once per column.  Each column's
-/// row sums use exactly dist_spmv's traversal order (bitwise identical to
-/// the single-vector kernel, column by column).
+/// Rank-sharded Y = A X with the REAL ghost import (`msgs` as for
+/// halo_import).  One pass over each rank's local matrix serves every
+/// column, so the matrix is streamed once per block application; a single
+/// vector is the width-1 block.  The import is posted, the INTERIOR rows --
+/// which read no ghost column -- are computed, the import completes, then
+/// the BOUNDARY rows follow.  `overlap` posts the import nonblocking, so
+/// the wire operation is in flight behind the interior rows and its wait()
+/// records the ov_ twins and the measured window; without it the import
+/// completes before the interior rows and records neither.  Each row's
+/// summation order is the global row's entry order, so every column is
+/// bitwise identical to la::spmv at every (backend, ranks, threads, width)
+/// and either schedule; the compute accounting is identical too.
 template <class Scalar>
 void dist_spmv_multi(comm::Communicator& comm, const DistCsrMatrix<Scalar>& A,
-                     const DistMultiVector<Scalar>& x,
-                     DistMultiVector<Scalar>& y, OpProfile* prof = nullptr) {
+                     const std::vector<comm::Message>& msgs,
+                     DistMultiVector<Scalar>& x, DistMultiVector<Scalar>& y,
+                     bool overlap, OpProfile* prof = nullptr) {
   const HaloPlan& plan = *A.plan;
   const index_t w = x.width;
   FROSCH_CHECK(y.width == w, "dist_spmv_multi: width mismatch");
-  const exec::ExecPolicy& pol = comm.policy();
-  const int R = comm.size();
-  index_t sub = 1;
-  if (pol.parallel() && R < pol.threads)
-    sub = (pol.threads + static_cast<index_t>(R) - 1) / R;
-  exec::parallel_for(
-      pol, static_cast<index_t>(R) * sub,
-      [&](index_t task) {
-        const size_t r = static_cast<size_t>(task / sub);
-        const auto& Al = A.local[r];
-        const auto& xl = x.vals[r];
-        auto& yl = y.vals[r];
-        const auto& slot = plan.owned_slot[r];
-        const size_t len = plan.cols[r].size();
-        const auto [b, e] = exec::chunk_range(Al.num_rows(), sub, task % sub);
-        for (index_t c = 0; c < w; ++c) {
-          const Scalar* xc = xl.data() + static_cast<size_t>(c) * len;
-          Scalar* yc = yl.data() + static_cast<size_t>(c) * len;
-          for (index_t i = b; i < e; ++i) {
-            Scalar sum(0);
-            for (index_t k = Al.row_begin(i); k < Al.row_end(i); ++k)
-              sum += Al.val(k) * xc[Al.col(k)];
-            yc[slot[i]] = sum;
-          }
-        }
-      },
-      /*grain=*/1);
-  detail::charge_spmv_multi(comm, A, w, prof);
-}
-
-/// Overlapped block Y = A X: one posted import for the whole block hides
-/// behind the interior rows of every column, exactly as in the
-/// single-vector dist_spmv_overlapped; bitwise identical to halo_import +
-/// dist_spmv_multi, with identical compute accounting.
-template <class Scalar>
-void dist_spmv_multi_overlapped(comm::Communicator& comm,
-                                const DistCsrMatrix<Scalar>& A,
-                                const std::vector<comm::Message>& msgs,
-                                DistMultiVector<Scalar>& x,
-                                DistMultiVector<Scalar>& y,
-                                OpProfile* prof = nullptr) {
-  const HaloPlan& plan = *A.plan;
-  const index_t w = x.width;
-  FROSCH_CHECK(y.width == w, "dist_spmv_multi_overlapped: width mismatch");
+  // Row tasks: `sub` row-chunks per rank so the pool stays busy when there
+  // are fewer virtual ranks than threads (per-row results are independent
+  // of the chunking, so this cannot perturb the bitwise contract).
   const exec::ExecPolicy& pol = comm.policy();
   const int R = comm.size();
   index_t sub = 1;
@@ -296,9 +280,13 @@ void dist_spmv_multi_overlapped(comm::Communicator& comm,
         },
         /*grain=*/1);
   };
-  auto pending = halo_import_async(comm, plan, msgs, x);
+  comm::PendingExchange pending;
+  if (overlap)
+    pending = halo_import_async(comm, plan, msgs, x);
+  else
+    halo_import(comm, plan, msgs, x);
   run_rows(plan.interior);
-  pending.wait();
+  if (overlap) pending.wait();
   run_rows(plan.boundary);
   detail::charge_spmv_multi(comm, A, w, prof);
 }
@@ -310,18 +298,19 @@ struct DotJob {
   const std::vector<Scalar>* y = nullptr;
 };
 
-/// Fused batched dot products: every job's chunk partials are computed with
-/// the problem-size-only chunk grid and ALL jobs travel in ONE measured
-/// all-reduce (inactive context: folded locally in chunk order).  Job j's
-/// result depends only on job j's vectors -- the slot-ordered fold keeps
-/// each output bitwise identical to a solo dist_dot / dist_multi_dot of the
-/// same vectors, which is what makes block-width-1 Krylov solves bitwise
-/// identical to the single-vector path.
-template <class Scalar>
-void dist_fused_dots(const DistContext& d,
-                     const std::vector<DotJob<Scalar>>& jobs,
-                     std::vector<Scalar>& out, OpProfile* prof = nullptr,
-                     const exec::ExecPolicy& policy = {}) {
+namespace detail {
+
+/// The body shared by both fused-dot forms: every job's chunk partials on
+/// the problem-size-only chunk grid, then -- for an active context --
+/// reduce(partials, nchunks, njobs) hands them to one all-reduce and each
+/// rank is charged its owned share; an inactive context folds them locally
+/// in chunk order, exactly la::dot / la::multi_dot.  `async` marks the
+/// aggregate reduction as posted nonblocking (ov_reductions).
+template <class Scalar, class ReduceFn>
+void fused_dots(const DistContext& d, const std::vector<DotJob<Scalar>>& jobs,
+                std::vector<Scalar>& out, OpProfile* prof,
+                const exec::ExecPolicy& policy, bool async,
+                ReduceFn&& reduce) {
   const size_t K = jobs.size();
   out.assign(K, Scalar(0));
   if (K == 0) return;
@@ -349,13 +338,10 @@ void dist_fused_dots(const DistContext& d,
       },
       /*grain=*/1);
   if (d.active()) {
-    d.comm->allreduce_slots(partial.data(), nc, static_cast<int>(K),
-                            out.data());
-    detail::attribute_elementwise(d, 2.0 * static_cast<double>(K),
-                                  2.0 * static_cast<double>(K),
-                                  sizeof(Scalar));
+    reduce(partial.data(), nc, static_cast<int>(K));
+    attribute_elementwise(d, 2.0 * static_cast<double>(K),
+                          2.0 * static_cast<double>(K), sizeof(Scalar));
   } else {
-    // Shared-memory fold: chunk order, exactly la::dot / la::multi_dot.
     for (index_t c = 0; c < nc; ++c)
       for (size_t j = 0; j < K; ++j)
         out[j] += partial[static_cast<size_t>(c) * K + j];
@@ -368,7 +354,28 @@ void dist_fused_dots(const DistContext& d,
     prof->critical_path += 1;
     prof->work_items += static_cast<double>(n);
     prof->reductions += 1;  // the whole batch travels in ONE all-reduce
+    if (async) prof->ov_reductions += 1;
   }
+}
+
+}  // namespace detail
+
+/// Fused batched dot products: every job's chunk partials are computed with
+/// the problem-size-only chunk grid and ALL jobs travel in ONE measured
+/// all-reduce (inactive context: folded locally in chunk order).  Job j's
+/// result depends only on job j's vectors -- the slot-ordered fold keeps
+/// each output bitwise identical to a solo dist_dot / dist_multi_dot of the
+/// same vectors, which is what makes block-width-1 Krylov solves bitwise
+/// identical to the single-vector path.
+template <class Scalar>
+void dist_fused_dots(const DistContext& d,
+                     const std::vector<DotJob<Scalar>>& jobs,
+                     std::vector<Scalar>& out, OpProfile* prof = nullptr,
+                     const exec::ExecPolicy& policy = {}) {
+  detail::fused_dots(d, jobs, out, prof, policy, /*async=*/false,
+                     [&](const Scalar* partial, index_t nc, int K) {
+                       d.comm->allreduce_slots(partial, nc, K, out.data());
+                     });
 }
 
 /// One in-flight fused dot batch from dist_fused_dots_async.  Holds the
@@ -415,58 +422,12 @@ PendingDots<Scalar> dist_fused_dots_async(
     std::vector<Scalar>& out, OpProfile* prof = nullptr,
     const exec::ExecPolicy& policy = {}) {
   PendingDots<Scalar> pending;
-  const size_t K = jobs.size();
-  out.assign(K, Scalar(0));
-  if (K == 0) {
-    pending.waited_ = true;
-    return pending;
-  }
-  const index_t n = static_cast<index_t>(jobs[0].x->size());
-  for (const auto& jb : jobs) {
-    (void)jb;
-    FROSCH_ASSERT(static_cast<index_t>(jb.x->size()) == n &&
-                      static_cast<index_t>(jb.y->size()) == n,
-                  "dist_fused_dots_async: size mismatch");
-  }
-  const index_t nc = exec::chunk_count(n);
-  std::vector<Scalar> partial(static_cast<size_t>(nc) * K, Scalar(0));
-  exec::parallel_for(
-      policy, nc,
-      [&](index_t c) {
-        Scalar* pc = partial.data() + static_cast<size_t>(c) * K;
-        const auto [b, e] = exec::chunk_range(n, nc, c);
-        for (size_t j = 0; j < K; ++j) {
-          const Scalar* xj = jobs[j].x->data();
-          const Scalar* yj = jobs[j].y->data();
-          Scalar s(0);
-          for (index_t i = b; i < e; ++i) s += xj[i] * yj[i];
-          pc[j] = s;
-        }
-      },
-      /*grain=*/1);
-  if (d.active()) {
-    pending.red_ = d.comm->allreduce_slots_async(partial.data(), nc,
-                                                 static_cast<int>(K),
-                                                 out.data());
-    detail::attribute_elementwise(d, 2.0 * static_cast<double>(K),
-                                  2.0 * static_cast<double>(K),
-                                  sizeof(Scalar));
-  } else {
-    // Shared-memory fold: chunk order, exactly dist_fused_dots.
-    for (index_t c = 0; c < nc; ++c)
-      for (size_t j = 0; j < K; ++j)
-        out[j] += partial[static_cast<size_t>(c) * K + j];
-  }
-  if (prof) {
-    prof->flops += 2.0 * static_cast<double>(K) * static_cast<double>(n);
-    prof->bytes +=
-        2.0 * static_cast<double>(K) * static_cast<double>(n) * sizeof(Scalar);
-    prof->launches += 1;
-    prof->critical_path += 1;
-    prof->work_items += static_cast<double>(n);
-    prof->reductions += 1;     // one wire all-reduce for the whole batch...
-    prof->ov_reductions += 1;  // ...posted ASYNC (the pipelined contract)
-  }
+  pending.waited_ = jobs.empty();
+  detail::fused_dots(d, jobs, out, prof, policy, /*async=*/true,
+                     [&](const Scalar* partial, index_t nc, int K) {
+                       pending.red_ = d.comm->allreduce_slots_async(
+                           partial, nc, K, out.data());
+                     });
   return pending;
 }
 

@@ -5,16 +5,17 @@
 //                   matrix: which global ids each rank owns, which it must
 //                   import, and the exact point-to-point messages (with
 //                   their payloads) a ghost exchange moves.
-//   DistVector      per-rank packed storage over a rank's local column
-//                   space (owned + ghost ids).
 //   DistCsrMatrix   per-rank local CSR of the rank's OWNED rows with
 //                   columns renumbered into its local column space.
-//   dist_spmv       y = A x with a REAL ghost import: the halo payload is
-//                   measured from the scalars actually copied.
 //   dist_dot / dist_multi_dot / dist_norm2 / dist_axpy / dist_scale
 //                   Krylov vector kernels on replicated vectors, sharded by
 //                   rank for attribution, reductions routed through
 //                   Communicator::allreduce_slots as measured events.
+//
+// The per-rank vector storage, the REAL ghost import and the rank-sharded
+// SpMV live in la/block.hpp: one kernel, dist_spmv_multi, serves every
+// width (a single vector is a width-1 block) and both the blocking and the
+// overlapped schedule.
 //
 // Determinism (DESIGN.md section 7).  Two representation choices make every
 // distributed result BITWISE identical to the shared-memory path at every
@@ -76,7 +77,7 @@ struct HaloPlan {
   /// dependence.  A row is *boundary* iff it references any ghost column
   /// (a column owned by another rank); interior rows read only owned data
   /// and can be computed while the ghost import is in flight
-  /// (dist_spmv_overlapped).  The split is by WHOLE row, so each row's
+  /// (dist_spmv_multi with overlap).  The split is by WHOLE row, so each row's
   /// summation schedule -- and hence the bitwise determinism contract --
   /// is untouched.
   std::vector<IndexVector> interior;
@@ -243,101 +244,6 @@ HaloPlan build_halo_plan(const CsrMatrix<Scalar>& A, const IndexVector& rank_of,
   return plan;
 }
 
-/// Per-rank packed vector over the plan's local column spaces.  Owned
-/// entries live at owned_slot positions; ghost slots are filled by
-/// halo_import.
-template <class Scalar>
-struct DistVector {
-  const HaloPlan* plan = nullptr;
-  std::vector<std::vector<Scalar>> vals;  ///< per rank, cols[r].size() entries
-
-  DistVector() = default;
-  explicit DistVector(const HaloPlan& p) { init(p); }
-
-  void init(const HaloPlan& p) {
-    plan = &p;
-    vals.assign(static_cast<size_t>(p.nranks), {});
-    for (int r = 0; r < p.nranks; ++r)
-      vals[static_cast<size_t>(r)].assign(p.cols[static_cast<size_t>(r)].size(),
-                                          Scalar(0));
-  }
-
-  /// Copies each rank's OWNED entries out of the replicated global vector
-  /// (bookkeeping, not communication: owned data never crosses ranks).
-  void scatter_owned(const std::vector<Scalar>& x,
-                     const exec::ExecPolicy& policy = {}) {
-    exec::parallel_for(
-        policy, plan->nranks,
-        [&](index_t r) {
-          const auto& own = plan->owned[static_cast<size_t>(r)];
-          const auto& slot = plan->owned_slot[static_cast<size_t>(r)];
-          auto& v = vals[static_cast<size_t>(r)];
-          for (size_t q = 0; q < own.size(); ++q) v[slot[q]] = x[own[q]];
-        },
-        /*grain=*/1);
-  }
-
-  /// Writes each rank's OWNED entries back into the replicated global
-  /// vector (disjoint writes; bookkeeping, not communication).
-  void gather_owned(std::vector<Scalar>& x,
-                    const exec::ExecPolicy& policy = {}) const {
-    x.resize(static_cast<size_t>(plan->n));
-    exec::parallel_for(
-        policy, plan->nranks,
-        [&](index_t r) {
-          const auto& own = plan->owned[static_cast<size_t>(r)];
-          const auto& slot = plan->owned_slot[static_cast<size_t>(r)];
-          const auto& v = vals[static_cast<size_t>(r)];
-          for (size_t q = 0; q < own.size(); ++q) x[own[q]] = v[slot[q]];
-        },
-        /*grain=*/1);
-  }
-};
-
-/// The REAL ghost exchange: moves every transfer's scalars from the owning
-/// rank's storage into the destination rank's ghost slots through the
-/// communicator, which records one message + the measured payload per
-/// transfer on the importing rank.  `msgs` must be plan.messages(sizeof(
-/// Scalar)) -- callers on the Krylov hot path cache it (DistCsrOperator).
-template <class Scalar>
-void halo_import(comm::Communicator& comm, const HaloPlan& plan,
-                 const std::vector<comm::Message>& msgs,
-                 DistVector<Scalar>& x) {
-  comm.exchange(msgs, [&](size_t m) {
-    const auto& t = plan.transfers[m];
-    const auto& src = x.vals[static_cast<size_t>(t.src)];
-    auto& dst = x.vals[static_cast<size_t>(t.dst)];
-    for (size_t q = 0; q < t.ids.size(); ++q)
-      dst[t.dst_slots[q]] = src[t.src_slots[q]];
-  });
-}
-
-template <class Scalar>
-void halo_import(comm::Communicator& comm, const HaloPlan& plan,
-                 DistVector<Scalar>& x) {
-  halo_import(comm, plan, plan.messages(sizeof(Scalar)), x);
-}
-
-/// Nonblocking ghost exchange: the scalar copies happen NOW (so ghost
-/// slots hold their final values and results stay bitwise identical to
-/// halo_import), the wire charging and the measured overlap window happen
-/// at the returned handle's wait().  Between post and wait the caller may
-/// compute anything that does not read x's ghost slots -- the interior
-/// rows of dist_spmv_overlapped.
-template <class Scalar>
-comm::PendingExchange halo_import_async(comm::Communicator& comm,
-                                        const HaloPlan& plan,
-                                        const std::vector<comm::Message>& msgs,
-                                        DistVector<Scalar>& x) {
-  return comm.exchange_async(msgs, [&](size_t m) {
-    const auto& t = plan.transfers[m];
-    const auto& src = x.vals[static_cast<size_t>(t.src)];
-    auto& dst = x.vals[static_cast<size_t>(t.dst)];
-    for (size_t q = 0; q < t.ids.size(); ++q)
-      dst[t.dst_slots[q]] = src[t.src_slots[q]];
-  });
-}
-
 /// Per-rank local CSR: rank r's owned rows (ascending global id) with
 /// columns renumbered into its local column space.  Because local col ids
 /// ascend with global ids, each local row preserves the global row's entry
@@ -446,154 +352,6 @@ struct DistCsrMatrix {
         /*grain=*/1);
   }
 };
-
-namespace detail {
-
-/// One accounting formula for both the per-rank and aggregate SpMV views:
-/// each rank's local kernel.
-template <class Scalar>
-OpProfile spmv_local_profile(const CsrMatrix<Scalar>& Al) {
-  OpProfile p;
-  p.flops = 2.0 * static_cast<double>(Al.num_entries());
-  p.bytes = Al.storage_bytes() +
-            static_cast<double>(Al.num_rows() + Al.num_cols()) *
-                sizeof(Scalar);
-  p.launches = 1;
-  p.critical_path = 1;
-  p.work_items = static_cast<double>(Al.num_rows());
-  return p;
-}
-
-/// The shared charging of dist_spmv and dist_spmv_overlapped: identical BY
-/// DESIGN, so the two paths' compute profiles (and hence modeled compute
-/// times) are indistinguishable -- the overlapped path's benefit enters
-/// solely through the comm-side ov_/window fields its wait() records.  The
-/// interior/boundary pass split is a host-side scheduling detail below the
-/// launch-accounting granularity.
-template <class Scalar>
-void charge_spmv(comm::Communicator& comm, const DistCsrMatrix<Scalar>& A,
-                 OpProfile* prof) {
-  device::DeviceArena* arena = device::arena_of(comm.policy());
-  for (int r = 0; r < comm.size(); ++r) {
-    const auto& Al = A.local[static_cast<size_t>(r)];
-    comm.prof(r) += spmv_local_profile(Al);
-    if (arena != nullptr) {
-      // The SpMV kernel reads the rank's local matrix on the device: a
-      // stale mirror measures the staging it forces; the steady state of a
-      // Krylov loop is a no-op here (the matrix was staged at setup).
-      if (Al.num_entries() > 0)
-        arena->to_device(r, Al.values().data(), Al.storage_bytes(),
-                         device::Xfer::Matrix);
-      arena->launch(r, 1);
-    }
-  }
-  if (prof) {
-    // Aggregate view: the per-rank shares summed, as ONE bulk-synchronous
-    // launch (matching la::spmv's whole-matrix accounting).
-    OpProfile agg;
-    for (const auto& Al : A.local) {
-      OpProfile p = spmv_local_profile(Al);
-      agg.flops += p.flops;
-      agg.bytes += p.bytes;
-      agg.work_items += p.work_items;
-    }
-    agg.launches = 1;
-    agg.critical_path = 1;
-    *prof += agg;
-  }
-}
-
-}  // namespace detail
-
-/// Rank-sharded y = A x over an ALREADY-IMPORTED x (call halo_import
-/// first; DistCsrOperator in krylov/operator.hpp packages the sequence).
-/// Writes each rank's owned result entries into y's owned slots.  Per-rank
-/// compute is recorded into the communicator's measured profiles; `prof`
-/// (optional) receives the aggregate, matching la::spmv's accounting.
-template <class Scalar>
-void dist_spmv(comm::Communicator& comm, const DistCsrMatrix<Scalar>& A,
-               const DistVector<Scalar>& x, DistVector<Scalar>& y,
-               OpProfile* prof = nullptr) {
-  const HaloPlan& plan = *A.plan;
-  // Row tasks: `sub` row-chunks per rank so the pool stays busy when there
-  // are fewer virtual ranks than threads (per-row results are independent
-  // of the chunking, so this cannot perturb the bitwise contract).
-  const exec::ExecPolicy& pol = comm.policy();
-  const int R = comm.size();
-  index_t sub = 1;
-  if (pol.parallel() && R < pol.threads)
-    sub = (pol.threads + static_cast<index_t>(R) - 1) / R;
-  exec::parallel_for(
-      pol, static_cast<index_t>(R) * sub,
-      [&](index_t task) {
-        const size_t r = static_cast<size_t>(task / sub);
-        const auto& Al = A.local[r];
-        const auto& xl = x.vals[r];
-        auto& yl = y.vals[r];
-        const auto& slot = plan.owned_slot[r];
-        const auto [b, e] = exec::chunk_range(Al.num_rows(), sub, task % sub);
-        for (index_t i = b; i < e; ++i) {
-          Scalar sum(0);
-          for (index_t k = Al.row_begin(i); k < Al.row_end(i); ++k)
-            sum += Al.val(k) * xl[Al.col(k)];
-          yl[slot[i]] = sum;
-        }
-      },
-      /*grain=*/1);
-  detail::charge_spmv(comm, A, prof);
-}
-
-/// Overlapped y = A x: posts the ghost import (copies land immediately,
-/// per the SimComm convention), computes the INTERIOR rows -- which read
-/// no ghost column -- while the wire operation is pending, waits (charging
-/// the wire and the measured overlap window), then computes the BOUNDARY
-/// rows.  Because the split is by whole row and each row's summation
-/// schedule is unchanged, the result is bitwise identical to halo_import +
-/// dist_spmv at every (backend, ranks, threads); the compute accounting is
-/// identical too (see detail::charge_spmv), so the two paths differ only
-/// in the ov_/window fields of the comm profiles.
-template <class Scalar>
-void dist_spmv_overlapped(comm::Communicator& comm,
-                          const DistCsrMatrix<Scalar>& A,
-                          const std::vector<comm::Message>& msgs,
-                          DistVector<Scalar>& x, DistVector<Scalar>& y,
-                          OpProfile* prof = nullptr) {
-  const HaloPlan& plan = *A.plan;
-  const exec::ExecPolicy& pol = comm.policy();
-  const int R = comm.size();
-  index_t sub = 1;
-  if (pol.parallel() && R < pol.threads)
-    sub = (pol.threads + static_cast<index_t>(R) - 1) / R;
-  // Same row kernel as dist_spmv, driven by a per-rank row LIST instead of
-  // the full row range (list chunking cannot perturb per-row sums).
-  auto run_rows = [&](const std::vector<IndexVector>& rows) {
-    exec::parallel_for(
-        pol, static_cast<index_t>(R) * sub,
-        [&](index_t task) {
-          const size_t r = static_cast<size_t>(task / sub);
-          const auto& Al = A.local[r];
-          const auto& xl = x.vals[r];
-          auto& yl = y.vals[r];
-          const auto& slot = plan.owned_slot[r];
-          const auto& list = rows[r];
-          const auto [b, e] = exec::chunk_range(
-              static_cast<index_t>(list.size()), sub, task % sub);
-          for (index_t q = b; q < e; ++q) {
-            const index_t i = list[q];
-            Scalar sum(0);
-            for (index_t k = Al.row_begin(i); k < Al.row_end(i); ++k)
-              sum += Al.val(k) * xl[Al.col(k)];
-            yl[slot[i]] = sum;
-          }
-        },
-        /*grain=*/1);
-  };
-  auto pending = halo_import_async(comm, plan, msgs, x);
-  run_rows(plan.interior);
-  pending.wait();
-  run_rows(plan.boundary);
-  detail::charge_spmv(comm, A, prof);
-}
 
 // ---------------------------------------------------------------------------
 // Distributed Krylov vector kernels.

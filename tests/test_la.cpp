@@ -7,9 +7,9 @@
 #include <random>
 
 #include "comm/comm.hpp"
+#include "la/block.hpp"
 #include "la/csr.hpp"
 #include "la/dense.hpp"
-#include "la/dist.hpp"
 #include "la/ops.hpp"
 #include "la/spmv.hpp"
 #include "la/vector_ops.hpp"
@@ -457,18 +457,21 @@ TEST(HaloSplit, PartitionIsExactOnBoxDecomposition) {
 }
 
 TEST(DistSpmv, OverlappedBitwiseMatchesBlockingAcrossRanksAndThreads) {
-  // The tentpole contract on the paper's two 16^3 problems: interior-rows-
+  // The one SpMV kernel on the paper's two 16^3 problems: interior-rows-
   // while-importing then boundary rows gives the SAME bits as import-then-
-  // all-rows, at every (ranks, threads), and the compute accounting of the
-  // two paths is identical -- only the comm-side ov_/window fields differ.
+  // rows, at every (ranks, threads), and the compute accounting of the two
+  // schedules is identical -- only the comm-side ov_/window fields differ.
+  // A width-3 block gives each column the bits of its width-1 run.
   auto lap = frosch::test::laplace_problem(16, 2, 2, 2);
   auto ela = frosch::test::elasticity_problem(16, 2, 2, 2);
   for (const auto* prob : {&lap, &ela}) {
     const auto& A = prob->A;
     const index_t n = A.num_rows();
-    const auto xg = frosch::test::random_vector(n, 42);
+    const std::vector<std::vector<double>> xg = {
+        frosch::test::random_vector(n, 42), frosch::test::random_vector(n, 43),
+        frosch::test::random_vector(n, 44)};
     std::vector<double> y_ref;
-    spmv(A, xg, y_ref);
+    spmv(A, xg[0], y_ref);
     for (int R : {1, 4, 8}) {
       for (int T : {1, 4}) {
         const auto policy = exec::ExecPolicy::with_threads(T);
@@ -481,28 +484,28 @@ TEST(DistSpmv, OverlappedBitwiseMatchesBlockingAcrossRanksAndThreads) {
         const auto msgs = plan.messages(sizeof(double));
 
         comm::SimComm cb(R, policy);
-        DistVector<double> xb(plan), yb(plan);
-        xb.scatter_owned(xg);
-        halo_import(cb, plan, msgs, xb);
+        DistMultiVector<double> xb(plan, 1), yb(plan, 1);
+        xb.scatter_owned({xg[0]});
         OpProfile prof_b;
-        dist_spmv(cb, Ad, xb, yb, &prof_b);
+        dist_spmv_multi(cb, Ad, msgs, xb, yb, /*overlap=*/false, &prof_b);
 
         comm::SimComm co(R, policy);
-        DistVector<double> xo(plan), yo(plan);
-        xo.scatter_owned(xg);
+        DistMultiVector<double> xo(plan, 1), yo(plan, 1);
+        xo.scatter_owned({xg[0]});
         OpProfile prof_o;
-        dist_spmv_overlapped(co, Ad, msgs, xo, yo, &prof_o);
+        dist_spmv_multi(co, Ad, msgs, xo, yo, /*overlap=*/true, &prof_o);
 
-        std::vector<double> y_b, y_o;
+        std::vector<std::vector<double>> y_b(1), y_o(1);
         yb.gather_owned(y_b);
         yo.gather_owned(y_o);
         const std::string what = "R=" + std::to_string(R) +
                                  " T=" + std::to_string(T) +
                                  " n=" + std::to_string(n);
-        EXPECT_EQ(std::memcmp(y_o.data(), y_b.data(), n * sizeof(double)), 0)
+        EXPECT_EQ(
+            std::memcmp(y_o[0].data(), y_b[0].data(), n * sizeof(double)), 0)
             << what;
-        EXPECT_EQ(std::memcmp(y_b.data(), y_ref.data(), n * sizeof(double)),
-                  0)
+        EXPECT_EQ(
+            std::memcmp(y_b[0].data(), y_ref.data(), n * sizeof(double)), 0)
             << what;
         // Identical aggregate compute accounting BY DESIGN.
         EXPECT_EQ(prof_o.flops, prof_b.flops) << what;
@@ -521,6 +524,40 @@ TEST(DistSpmv, OverlappedBitwiseMatchesBlockingAcrossRanksAndThreads) {
           EXPECT_EQ(po.overlap_windows, po.neighbor_msgs > 0 ? 1 : 0) << what;
           EXPECT_EQ(pb.ov_neighbor_msgs, 0) << what;
           EXPECT_EQ(pb.overlap_windows, 0) << what;
+        }
+
+        // Width 3, both schedules: every column is bitwise its width-1
+        // result, and only the overlapped run records ov_ fields.
+        const auto msgs3 = plan.messages(3.0 * sizeof(double));
+        for (bool overlap : {false, true}) {
+          comm::SimComm c3(R, policy);
+          DistMultiVector<double> x3(plan, 3), y3(plan, 3);
+          x3.scatter_owned(xg);
+          dist_spmv_multi(c3, Ad, msgs3, x3, y3, overlap);
+          std::vector<std::vector<double>> y3g(3);
+          y3.gather_owned(y3g);
+          for (size_t c = 0; c < xg.size(); ++c) {
+            comm::SimComm c1(R, policy);
+            DistMultiVector<double> x1(plan, 1), y1(plan, 1);
+            x1.scatter_owned({xg[c]});
+            dist_spmv_multi(c1, Ad, msgs, x1, y1, overlap);
+            std::vector<std::vector<double>> y1g(1);
+            y1.gather_owned(y1g);
+            EXPECT_EQ(std::memcmp(y3g[c].data(), y1g[0].data(),
+                                  n * sizeof(double)),
+                      0)
+                << what << " overlap=" << overlap << " column " << c;
+          }
+          for (int r = 0; r < R; ++r) {
+            const auto& p3 = c3.prof(r);
+            EXPECT_EQ(p3.neighbor_msgs, cb.prof(r).neighbor_msgs) << what;
+            if (overlap) continue;
+            EXPECT_EQ(p3.ov_reductions, 0) << what;
+            EXPECT_EQ(p3.ov_neighbor_msgs, 0) << what;
+            EXPECT_EQ(p3.ov_msg_bytes, 0.0) << what;
+            EXPECT_EQ(p3.overlap_windows, 0) << what;
+            EXPECT_EQ(p3.overlap_s, 0.0) << what;
+          }
         }
       }
     }

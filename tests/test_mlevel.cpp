@@ -119,6 +119,37 @@ TEST(SubComm, PostChargesDestinationAtWorldRank) {
     EXPECT_EQ(prof[r].neighbor_msgs, 0u) << "rank " << r;
 }
 
+TEST(SubComm, AsyncCollectiveChargesSubsetFieldsPlusWindow) {
+  // The nonblocking all-reduce on a subset counts exactly what the blocking
+  // one counts -- a subset reduction at the member ranks -- plus the async
+  // payload twin and the measured window.  It never touches the full-fabric
+  // `reductions`, so `ov_reductions` (a subset of it) stays zero too.
+  comm::SimComm bparent(8), aparent(8);
+  auto bsub = bparent.split({0, 2, 4, 6});
+  auto asub = aparent.split({0, 2, 4, 6});
+  const double slots[] = {1.0, 2.0, 3.0, 4.0};
+  double out_b[2] = {0.0, 0.0}, out_a[2] = {0.0, 0.0};
+  bsub->allreduce_slots(slots, 2, 2, out_b);
+  asub->allreduce_slots_async(slots, 2, 2, out_a).wait();
+  EXPECT_EQ(std::memcmp(out_a, out_b, sizeof(out_b)), 0);
+  for (int r = 0; r < 8; ++r) {
+    const bool member = (r % 2 == 0);
+    const auto& pb = bparent.rank_profiles()[r];
+    const auto& pa = aparent.rank_profiles()[r];
+    EXPECT_EQ(pb.sub_reductions, member ? 1u : 0u) << "rank " << r;
+    EXPECT_EQ(pa.sub_reductions, pb.sub_reductions) << "rank " << r;
+    EXPECT_EQ(pa.sub_red_log2, pb.sub_red_log2) << "rank " << r;
+    EXPECT_EQ(pa.msg_bytes, pb.msg_bytes) << "rank " << r;
+    EXPECT_EQ(pa.reductions, 0u) << "rank " << r;
+    EXPECT_EQ(pa.ov_reductions, 0u) << "rank " << r;
+    EXPECT_EQ(pa.ov_msg_bytes, pa.msg_bytes) << "rank " << r;
+    EXPECT_EQ(pa.overlap_windows, member ? 1u : 0u) << "rank " << r;
+    // The blocking form records no async field at all.
+    EXPECT_EQ(pb.ov_msg_bytes, 0.0) << "rank " << r;
+    EXPECT_EQ(pb.overlap_windows, 0u) << "rank " << r;
+  }
+}
+
 TEST(SubComm, SplitValidatesMembers) {
   comm::SimComm parent(4);
   EXPECT_THROW(parent.split({}), Error);
