@@ -35,6 +35,7 @@
 // plus the payload each rank ships.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <utility>
@@ -70,14 +71,16 @@ class Communicator;
 /// the measured post->wait window.  wait() must be called EXACTLY once;
 /// SelfComm (and any all-self message list) completes inline: nothing is
 /// charged and no window is recorded, because there is no wire operation
-/// to overlap.
+/// to overlap.  The handle refers to the caller's message list, which must
+/// outlive wait() -- every caller passes a list it keeps as a member (a
+/// cached exchange plan), so posting copies and allocates nothing.
 class PendingExchange {
  public:
   PendingExchange() = default;
   PendingExchange(PendingExchange&& o) noexcept { *this = std::move(o); }
   PendingExchange& operator=(PendingExchange&& o) noexcept {
     comm_ = o.comm_;
-    msgs_ = std::move(o.msgs_);
+    msgs_ = o.msgs_;
     timer_ = o.timer_;
     waited_ = o.waited_;
     o.comm_ = nullptr;
@@ -93,11 +96,11 @@ class PendingExchange {
 
  private:
   friend class Communicator;
-  PendingExchange(Communicator* c, std::vector<Message> msgs)
-      : comm_(c), msgs_(std::move(msgs)) {}
+  PendingExchange(Communicator* c, const std::vector<Message>& msgs)
+      : comm_(c), msgs_(&msgs) {}
 
   Communicator* comm_ = nullptr;  ///< null: default- or moved-from (inert)
-  std::vector<Message> msgs_;
+  const std::vector<Message>* msgs_ = nullptr;  ///< the caller's list
   Timer timer_;  ///< started at post; read at wait
   bool waited_ = false;
 };
@@ -289,10 +292,12 @@ class Communicator {
   /// charging (plus the ov_ async twins and the measured window).  The
   /// caller must have moved the payload already -- same contract as
   /// post() -- which is what keeps overlapped results bitwise identical
-  /// to the blocking path.
+  /// to the blocking path.  `msgs` must outlive the handle's wait(); a
+  /// temporary list is rejected at compile time.
   PendingExchange post_async(const std::vector<Message>& msgs) {
     return PendingExchange(this, msgs);
   }
+  PendingExchange post_async(std::vector<Message>&&) = delete;
 
   /// Nonblocking form of exchange(): performs the copies NOW (in
   /// parallel, as exchange() does), then posts.  Between the returned
@@ -305,6 +310,8 @@ class Communicator {
     run_copies(msgs, copy);
     return post_async(msgs);
   }
+  template <class CopyFn>
+  PendingExchange exchange_async(std::vector<Message>&&, CopyFn&&) = delete;
 
   /// Nonblocking form of allreduce_slots: the deterministic slot-order
   /// fold happens at POST (later writes to `slots` cannot change the
@@ -346,6 +353,7 @@ class Communicator {
   Communicator(int nranks, exec::ExecPolicy policy)
       : nranks_(nranks < 1 ? 1 : nranks), policy_(policy) {
     prof_.assign(static_cast<size_t>(nranks_), {});
+    windowed_.assign(static_cast<size_t>(nranks_), 0);
   }
 
   /// One bulk-synchronous collective: every rank participates, every rank
@@ -425,12 +433,13 @@ class Communicator {
   /// message charges its destination rank; self-messages are local copies,
   /// never charged.  `window` (async completion only) adds the ov_ twins
   /// and one measured window per destination rank that had remote traffic,
-  /// so a SelfComm exchange completes with no window.
+  /// so a SelfComm exchange completes with no window.  The per-rank
+  /// window marks live in a reused member scratch, so a wait allocates
+  /// nothing.
   void record_exchange(const std::vector<Message>& msgs, device::Xfer family,
                        const double* window) {
     device::DeviceArena* arena = device::arena_of(policy_);
-    std::vector<char> windowed(
-        window != nullptr ? static_cast<size_t>(nranks_) : 0, 0);
+    if (window != nullptr) std::fill(windowed_.begin(), windowed_.end(), 0);
     for (const auto& m : msgs) {
       if (m.src == m.dst) continue;
       auto& p = prof(m.dst);
@@ -439,8 +448,8 @@ class Communicator {
       if (window != nullptr) {
         p.ov_neighbor_msgs += 1;
         p.ov_msg_bytes += m.bytes;
-        if (!windowed[static_cast<size_t>(m.dst)]) {
-          windowed[static_cast<size_t>(m.dst)] = 1;
+        if (!windowed_[static_cast<size_t>(m.dst)]) {
+          windowed_[static_cast<size_t>(m.dst)] = 1;
           p.overlap_windows += 1;
           p.overlap_s += *window;
         }
@@ -456,6 +465,7 @@ class Communicator {
   int nranks_;
   exec::ExecPolicy policy_;
   std::vector<OpProfile> prof_;
+  std::vector<char> windowed_;  ///< record_exchange's per-rank window marks
 };
 
 inline void PendingExchange::wait() {
@@ -465,7 +475,7 @@ inline void PendingExchange::wait() {
   waited_ = true;
   if (comm_ == nullptr) return;  // default-constructed or moved-from
   const double window = timer_.seconds();
-  comm_->record_exchange(msgs_, device::Xfer::Halo, &window);
+  comm_->record_exchange(*msgs_, device::Xfer::Halo, &window);
 }
 
 template <class Scalar>

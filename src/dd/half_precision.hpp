@@ -23,29 +23,63 @@ class HalfPrecisionOperator final : public krylov::LinearOperator<Scalar> {
 
   void apply_impl(const std::vector<Scalar>& x, std::vector<Scalar>& y,
                   OpProfile* prof) const override {
-    xh_.resize(x.size());
-    for (size_t i = 0; i < x.size(); ++i) xh_[i] = static_cast<Half>(x[i]);
-    yh_.resize(static_cast<size_t>(inner_.rows()));
-    inner_.apply(xh_, yh_, prof);
-    for (size_t i = 0; i < yh_.size(); ++i) y[i] = static_cast<Scalar>(yh_[i]);
+    x_col_[0] = &x;
+    y_col_[0] = &y;
+    apply_columns_impl(x_col_, y_col_, prof);
+  }
+
+  /// Casts every column down into a cached buffer, applies the inner
+  /// operator to the whole block in one apply_columns call (its fused path,
+  /// when it has one), and casts the results back.  Each column's casts and
+  /// inner arithmetic are those of its solo apply.
+  void apply_columns_impl(const std::vector<const std::vector<Scalar>*>& X,
+                          const std::vector<std::vector<Scalar>*>& Y,
+                          OpProfile* prof) const override {
+    const size_t w = X.size();
+    const size_t rows = static_cast<size_t>(inner_.rows());
+    if (xh_.size() < w) {
+      xh_.resize(w);
+      yh_.resize(w);
+    }
+    xh_ptr_.resize(w);
+    yh_ptr_.resize(w);
+    for (size_t c = 0; c < w; ++c) {
+      const auto& x = *X[c];
+      xh_[c].resize(x.size());
+      for (size_t i = 0; i < x.size(); ++i) xh_[c][i] = static_cast<Half>(x[i]);
+      yh_[c].resize(rows);
+      xh_ptr_[c] = &xh_[c];
+      yh_ptr_[c] = &yh_[c];
+    }
+    inner_.apply_columns(xh_ptr_, yh_ptr_, prof);
+    for (size_t c = 0; c < w; ++c)
+      for (size_t i = 0; i < rows; ++i)
+        (*Y[c])[i] = static_cast<Scalar>(yh_[c][i]);
     if (prof) {
       // Type-casting overhead: the downcast streams the cols()-sized input,
       // the upcast streams the rows()-sized output (they differ for a
-      // rectangular inner operator); each element is read in one precision
-      // and written in the other.
-      prof->bytes += (static_cast<double>(x.size()) +
-                      static_cast<double>(inner_.rows())) *
-                     (sizeof(Scalar) + sizeof(Half));
+      // rectangular inner operator) of every column; each element is read
+      // in one precision and written in the other.  One cast kernel each
+      // way serves the whole block.
+      const double elems =
+          static_cast<double>(w) * (static_cast<double>(inner_.cols()) +
+                                    static_cast<double>(rows));
+      prof->bytes += elems * (sizeof(Scalar) + sizeof(Half));
       prof->launches += 2;
       prof->critical_path += 2;
-      prof->work_items += static_cast<double>(x.size()) +
-                          static_cast<double>(inner_.rows());
+      prof->work_items += elems;
     }
   }
 
  private:
   const krylov::LinearOperator<Half>& inner_;
-  mutable std::vector<Half> xh_, yh_;
+  // Cached per-column casts, grow-only; the pointer lists are what
+  // apply_columns takes.
+  mutable std::vector<std::vector<Half>> xh_, yh_;
+  mutable std::vector<const std::vector<Half>*> xh_ptr_;
+  mutable std::vector<std::vector<Half>*> yh_ptr_;
+  mutable std::vector<const std::vector<Scalar>*> x_col_{nullptr};
+  mutable std::vector<std::vector<Scalar>*> y_col_{nullptr};
 };
 
 /// The full half-precision PRECONDITIONER (Tables VI/VII): a Schwarz
@@ -98,6 +132,12 @@ class HalfPrecisionPreconditioner final : public Preconditioner<Scalar> {
   void apply_impl(const std::vector<Scalar>& x, std::vector<Scalar>& y,
                   OpProfile* prof) const override {
     cast_.apply(x, y, prof);
+  }
+
+  void apply_columns_impl(const std::vector<const std::vector<Scalar>*>& X,
+                          const std::vector<std::vector<Scalar>*>& Y,
+                          OpProfile* prof) const override {
+    cast_.apply_columns(X, Y, prof);
   }
 
   index_t coarse_dim() const override { return inner_.coarse_dim(); }

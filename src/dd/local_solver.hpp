@@ -195,21 +195,51 @@ class LocalSolver {
     stage_factor_refresh();
   }
 
-  /// x = A^{-1} b (exactly or approximately, per the configured backend).
+  /// x = A^{-1} b (exactly or approximately, per the configured backend):
+  /// the width-1 block solve.
   void solve(const std::vector<Scalar>& b, std::vector<Scalar>& x,
              OpProfile* prof = nullptr) const {
     FROSCH_CHECK(numeric_done_, "LocalSolver: numeric() first");
+    FROSCH_CHECK(static_cast<index_t>(b.size()) == Aord_.num_rows(),
+                 "LocalSolver::solve: rhs size " << b.size()
+                     << " != " << Aord_.num_rows());
+    x.resize(b.size());
+    solve(b.data(), x.data(), 1, prof);
+  }
+
+  /// X = A^{-1} B for w right-hand sides stored row-major interleaved
+  /// (entry (i, c) at [i * w + c]), the layout the triangular engines sweep
+  /// with one pass over each factor row.  X holds n * w entries and does
+  /// not alias B.  The fill-reducing ordering is applied around the engine
+  /// call in grow-only workspaces, so repeated solves allocate nothing (and
+  /// one solver must not be solved from two threads at once).  Column c is
+  /// bitwise the single-vector solve of column c.
+  void solve(const Scalar* B, Scalar* X, index_t w,
+             OpProfile* prof = nullptr) const {
+    FROSCH_CHECK(numeric_done_, "LocalSolver: numeric() first");
+    const index_t n = Aord_.num_rows();
     if (perm_.empty()) {
-      engine_->solve(b, x, prof);
+      engine_->solve_block(n, w, B, X, prof);
       return;
     }
-    // Apply the fill-reducing ordering around the solve.
-    const index_t n = static_cast<index_t>(b.size());
-    std::vector<Scalar> bp(b.size()), xp;
-    for (index_t i = 0; i < n; ++i) bp[i] = b[perm_[i]];
-    engine_->solve(bp, xp, prof);
-    x.resize(b.size());
-    for (index_t i = 0; i < n; ++i) x[perm_[i]] = xp[i];
+    const size_t ws = static_cast<size_t>(w);
+    const size_t len = static_cast<size_t>(n) * ws;
+    if (bp_.size() < len) {
+      bp_.resize(len);
+      xp_.resize(len);
+    }
+    // Element loops, not a copy call per row: rows are a few entries wide.
+    for (index_t i = 0; i < n; ++i) {
+      const Scalar* src = B + static_cast<size_t>(perm_[i]) * ws;
+      Scalar* dst = bp_.data() + static_cast<size_t>(i) * ws;
+      for (size_t c = 0; c < ws; ++c) dst[c] = src[c];
+    }
+    engine_->solve_block(n, w, bp_.data(), xp_.data(), prof);
+    for (index_t i = 0; i < n; ++i) {
+      const Scalar* src = xp_.data() + static_cast<size_t>(i) * ws;
+      Scalar* dst = X + static_cast<size_t>(perm_[i]) * ws;
+      for (size_t c = 0; c < ws; ++c) dst[c] = src[c];
+    }
   }
 
   count_t factor_nnz() const {
@@ -343,6 +373,7 @@ class LocalSolver {
   ilu::IlukFactorization<Scalar> iluk_;
   ilu::FastIlu<Scalar> fast_;
   std::unique_ptr<trisolve::TriangularEngine<Scalar>> engine_;
+  mutable std::vector<Scalar> bp_, xp_;  ///< ordered block-solve workspace
   bool symbolic_done_ = false;
   bool numeric_done_ = false;
 };

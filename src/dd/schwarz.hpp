@@ -11,7 +11,8 @@
 //   numeric_setup(A)   coarse basis + RAP + all numeric factorizations +
 //                      triangular-solve setup, with a named breakdown
 //                      matching Fig. 4's bars;
-//   apply(x, y)        one additive application per Krylov iteration.
+//   apply(x, y)        one additive application per Krylov iteration
+//                      (apply_columns: one per block of columns).
 //
 // RANK SHARDING (the virtual distributed runtime, src/comm).  Subdomains
 // are block-mapped onto the communicator's virtual ranks (one subdomain per
@@ -23,10 +24,10 @@
 //     imports, with their true storage bytes;
 //   * apply restriction: the off-rank overlap entries of x each rank
 //     imports (and the mirrored export of the additive combine), with the
-//     true scalar payload;
+//     true scalar payload -- once per block of columns;
 //   * coarse problem: gathered to and replicated from the root through the
 //     comm layer's collectives (coarse matrix once per numeric setup,
-//     coarse rhs/solution once per apply).
+//     coarse rhs/solution once per block apply).
 //
 // Per-rank operation profiles are kept for every phase: the Summit machine
 // model replays them (plus the communicator's measured per-rank traffic) to
@@ -34,6 +35,7 @@
 // Tables II-VII.
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <vector>
@@ -449,74 +451,117 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
     return true;
   }
 
-  /// Phase (c): y = M^{-1} x, additive over subdomains + coarse level.
-  ///
-  /// The per-subdomain local solves -- the paper's dominant solve-phase
-  /// concurrency -- run in parallel under cfg_.exec, each into a private
-  /// result buffer; the additive combine onto the (overlap-shared) global
-  /// vector happens serially in part order afterwards, so the result is
-  /// identical at every (ranks, threads) combination.  The off-rank
-  /// restriction entries and the mirrored additive export are posted as
-  /// measured halo traffic once per application.
+  /// Phase (c): y = M^{-1} x, additive over subdomains + coarse level --
+  /// the width-1 block apply.
   void apply_impl(const std::vector<Scalar>& x, std::vector<Scalar>& y,
                   OpProfile* prof) const override {
+    x_col_[0] = &x;
+    y_col_[0] = &y;
+    apply_columns_impl(x_col_, y_col_, prof);
+  }
+
+  /// Y[c] = M^{-1} X[c] for a block of w columns (DESIGN.md section 1b).
+  ///
+  /// Each part gathers its restriction of all w columns into one row-major
+  /// interleaved block and runs ONE local block solve, which reads every
+  /// factor row once for the whole block.  The per-part solves -- the
+  /// paper's dominant solve-phase concurrency -- run in parallel under
+  /// cfg_.exec, each into a private block; the additive combine onto the
+  /// (overlap-shared) global vectors happens serially in part order
+  /// afterwards, then the coarse correction is added, column by column.
+  /// Every column therefore sees exactly the arithmetic of its own width-1
+  /// apply and is bitwise identical to it at every (ranks, threads)
+  /// combination.  Communication is per block: the off-rank restriction
+  /// entries and the mirrored additive export are posted once, and the
+  /// coarse rhs gather and solution broadcast run once, each with the
+  /// payload scaled by w.  The coarse solve itself runs per column.
+  void apply_columns_impl(const std::vector<const std::vector<Scalar>*>& X,
+                          const std::vector<std::vector<Scalar>*>& Y,
+                          OpProfile* prof) const override {
     FROSCH_CHECK(numeric_done_, "SchwarzPreconditioner: numeric first");
-    y.assign(static_cast<size_t>(n_), Scalar(0));
-    std::vector<std::vector<Scalar>> yls(
-        static_cast<size_t>(decomp_.num_parts));
-    std::vector<OpProfile> locals(static_cast<size_t>(decomp_.num_parts));
+    const index_t w = static_cast<index_t>(X.size());
+    const size_t ws = X.size();
+    for (auto* yc : Y) std::fill(yc->begin(), yc->end(), Scalar(0));
+    const size_t nparts = static_cast<size_t>(decomp_.num_parts);
+    xblk_.resize(nparts);
+    yblk_.resize(nparts);
+    locals_.resize(nparts);
     exec::parallel_for(
         cfg_.exec, decomp_.num_parts,
         [&](index_t p) {
           const auto& dofs = decomp_.overlap_dofs[p];
-          std::vector<Scalar> xl(dofs.size());
-          for (size_t q = 0; q < dofs.size(); ++q) xl[q] = x[dofs[q]];
-          OpProfile& local = locals[p];
-          solvers_[p]->solve(xl, yls[p], &local);
+          const size_t len = dofs.size() * ws;
+          auto& xb = xblk_[p];
+          auto& yb = yblk_[p];
+          if (xb.size() < len) {
+            xb.resize(len);
+            yb.resize(len);
+          }
+          for (size_t q = 0; q < dofs.size(); ++q)
+            for (size_t c = 0; c < ws; ++c) xb[q * ws + c] = (*X[c])[dofs[q]];
+          OpProfile& local = locals_[p];
+          local = OpProfile{};
+          solvers_[p]->solve(xb.data(), yb.data(), w, &local);
           // Restriction + prolongation memory traffic of this subdomain.
-          local.bytes += 4.0 * static_cast<double>(dofs.size()) * sizeof(Scalar);
+          local.bytes += 4.0 * static_cast<double>(len) * sizeof(Scalar);
           local.launches += 2;
           local.critical_path += 2;
-          local.work_items += 2.0 * static_cast<double>(dofs.size());
+          local.work_items += 2.0 * static_cast<double>(len);
         },
         /*grain=*/1);
-    // The overlap halo of one application, measured from the exchange
-    // plans: import of off-rank x entries, export of the additive combine.
-    comm_->post(apply_import_msgs_);
-    comm_->post(apply_export_msgs_);
+    // The overlap halo of one block application, measured from the
+    // exchange plans: import of off-rank x entries, export of the additive
+    // combine -- one message per transfer, w columns of payload.
+    comm_->post(scaled_messages(apply_import_msgs_, w, import_w_));
+    comm_->post(scaled_messages(apply_export_msgs_, w, export_w_));
     device::DeviceArena* arena = device::arena_of(cfg_.exec);
     for (index_t p = 0; p < decomp_.num_parts; ++p) {
       const auto& dofs = decomp_.overlap_dofs[p];
-      for (size_t q = 0; q < dofs.size(); ++q) y[dofs[q]] += yls[p][q];
+      const auto& yb = yblk_[p];
+      for (size_t q = 0; q < dofs.size(); ++q)
+        for (size_t c = 0; c < ws; ++c) (*Y[c])[dofs[q]] += yb[q * ws + c];
       // Restriction + prolongation kernels launch on the owning rank's GPU.
       if (arena != nullptr)
         arena->launch(comm_->world_rank(static_cast<int>(part_rank_[p])), 2);
-      prof_.ranks[part_rank_[p]].solve += locals[p];
-      if (prof) *prof += locals[p];
+      prof_.ranks[part_rank_[p]].solve += locals_[p];
+      if (prof) *prof += locals_[p];
     }
     if (cfg_.two_level && has_coarse_) {
       OpProfile cp;
-      std::vector<Scalar> r0, z0(static_cast<size_t>(A0_.num_rows())), w;
-      la::spmv_transpose(phi_, x, r0, Scalar(1), Scalar(0), &cp, cfg_.exec);
-      // Coarse rhs gathered to the subset, solved there, solution
-      // replicated: two collectives with the coarse vector's payload.
-      comm_->gather(static_cast<double>(A0_.num_rows()) * sizeof(Scalar));
-      if (coarse_hook_) {
-        coarse_hook_->solve(r0, z0, &cp);
-      } else {
-        coarse_solver_->solve(r0, z0, &cp);
+      const size_t n0 = static_cast<size_t>(A0_.num_rows());
+      if (r0_.size() < ws) {
+        r0_.resize(ws);
+        z0_.resize(ws);
       }
-      comm_->broadcast(static_cast<double>(A0_.num_rows()) * sizeof(Scalar));
-      prof_.coarse_comm_bytes +=
-          2.0 * static_cast<double>(A0_.num_rows()) * sizeof(Scalar);
-      la::spmv(phi_, z0, w, Scalar(1), Scalar(0), &cp, cfg_.exec);
-      exec::parallel_for(cfg_.exec, n_, [&](index_t i) { y[i] += w[i]; });
-      device::launches(cfg_.exec, 1);  // the additive coarse combine
+      for (size_t c = 0; c < ws; ++c)
+        la::spmv_transpose(phi_, *X[c], r0_[c], Scalar(1), Scalar(0), &cp,
+                           cfg_.exec);
+      // Coarse rhs gathered to the subset, solved there, solution
+      // replicated: two collectives per block with the coarse block's
+      // payload.
+      const double payload = static_cast<double>(n0 * ws) * sizeof(Scalar);
+      comm_->gather(payload);
+      for (size_t c = 0; c < ws; ++c) {
+        z0_[c].assign(n0, Scalar(0));
+        if (coarse_hook_) {
+          coarse_hook_->solve(r0_[c], z0_[c], &cp);
+        } else {
+          coarse_solver_->solve(r0_[c], z0_[c], &cp);
+        }
+      }
+      comm_->broadcast(payload);
+      prof_.coarse_comm_bytes += 2.0 * payload;
+      for (size_t c = 0; c < ws; ++c) {
+        auto& yc = *Y[c];
+        la::spmv(phi_, z0_[c], wc_, Scalar(1), Scalar(0), &cp, cfg_.exec);
+        exec::parallel_for(cfg_.exec, n_, [&](index_t i) { yc[i] += wc_[i]; });
+        device::launches(cfg_.exec, 1);  // the additive coarse combine
+      }
       prof_.coarse.solve += cp;
       if (prof) *prof += cp;
       if (coarse_hook_) prof_.coarse_levels = coarse_hook_->level_reports();
     }
-    ++prof_.apply_count;
+    prof_.apply_count += w;
   }
 
  private:
@@ -629,6 +674,18 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
     return msgs;
   }
 
+  /// `msgs` with every payload scaled to a w-column block (the message
+  /// count is unchanged: one message per transfer carries all columns).
+  /// Width 1 posts the plan itself; wider blocks reuse `buf`'s storage.
+  static const std::vector<comm::Message>& scaled_messages(
+      const std::vector<comm::Message>& msgs, index_t w,
+      std::vector<comm::Message>& buf) {
+    if (w == 1) return msgs;
+    buf.assign(msgs.begin(), msgs.end());
+    for (auto& m : buf) m.bytes *= static_cast<double>(w);
+    return buf;
+  }
+
   SchwarzConfig cfg_;
   Decomposition decomp_;
   InterfacePartition iface_;
@@ -650,6 +707,15 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
   ExtensionCache<Scalar> ext_cache_;     ///< cached extension base layers
   std::vector<Scalar> vals_prev_;        ///< numeric baseline for refresh
   mutable SchwarzProfiles prof_;
+  // Block-apply workspaces, grow-only so the hot path allocates nothing
+  // after the widest block: per part the interleaved restricted block, its
+  // local solution and its profile; per column the coarse rhs/solution.
+  mutable std::vector<std::vector<Scalar>> xblk_, yblk_, r0_, z0_;
+  mutable std::vector<Scalar> wc_;  ///< one column's coarse correction
+  mutable std::vector<OpProfile> locals_;
+  mutable std::vector<comm::Message> import_w_, export_w_;
+  mutable std::vector<const std::vector<Scalar>*> x_col_{nullptr};
+  mutable std::vector<std::vector<Scalar>*> y_col_{nullptr};
   bool symbolic_done_ = false;
   bool numeric_done_ = false;
   bool has_coarse_ = false;

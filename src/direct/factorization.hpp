@@ -8,6 +8,7 @@
 // freely (e.g. SuperLU factors + Kokkos-Kernels supernodal SpTRSV).
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "common/types.hpp"
@@ -39,11 +40,23 @@ struct Factorization {
   void apply_row_perm(const std::vector<Scalar>& in,
                       std::vector<Scalar>& out) const {
     out.resize(in.size());
+    apply_row_perm(in.data(), out.data(), static_cast<index_t>(in.size()), 1);
+  }
+
+  /// Block form on n x w row-major interleaved blocks (entry (i, c) at
+  /// [i * w + c]): out row perm[i] = in row i.
+  void apply_row_perm(const Scalar* in, Scalar* out, index_t n,
+                      index_t w) const {
+    const size_t ws = static_cast<size_t>(w);
     if (row_perm_old2new.empty()) {
-      out = in;
+      std::copy(in, in + static_cast<size_t>(n) * ws, out);
       return;
     }
-    for (size_t i = 0; i < in.size(); ++i) out[row_perm_old2new[i]] = in[i];
+    for (index_t i = 0; i < n; ++i) {
+      const Scalar* src = in + static_cast<size_t>(i) * ws;
+      Scalar* dst = out + static_cast<size_t>(row_perm_old2new[i]) * ws;
+      for (size_t c = 0; c < ws; ++c) dst[c] = src[c];
+    }
   }
 };
 

@@ -121,61 +121,65 @@ class DistCsrOperator final : public LinearOperator<Scalar> {
  public:
   DistCsrOperator(const la::DistCsrMatrix<Scalar>& A, comm::Communicator& comm,
                   const exec::ExecPolicy& policy = {}, bool overlap = true)
-      : A_(A), comm_(comm), policy_(policy), overlap_(overlap),
-        x1_(*A.plan, 1), y1_(*A.plan, 1),
-        halo_msgs_(A.plan->messages(sizeof(Scalar))) {}
+      : A_(A), comm_(comm), policy_(policy), overlap_(overlap) {
+    staging(1);  // the single-vector path is ready before the first apply
+  }
 
   index_t rows() const override { return A_.plan->n; }
   index_t cols() const override { return A_.plan->n; }
 
  protected:
-  /// Width-1 block application through its own cached staging, so it stays
-  /// allocation-free however it interleaves with block applications.
+  /// The width-1 block application.
   void apply_impl(const std::vector<Scalar>& x, std::vector<Scalar>& y,
                   OpProfile* prof) const override {
     x_col_[0] = &x;
     y_col_[0] = &y;
-    apply_staged(x_col_, y_col_, x1_, y1_, halo_msgs_, prof);
+    apply_columns_impl(x_col_, y_col_, prof);
   }
 
   /// Fused block application: ONE ghost import (one message per transfer,
   /// width-scaled payload) serves every column, and the local matrices are
   /// streamed once for the whole block.  Column results are bitwise
-  /// identical to apply() on each column separately.
+  /// identical to apply() on each column separately.  The staging blocks
+  /// and message list of each width are built on its first use and kept:
+  /// a block solver that shrinks its width as columns converge, and grows
+  /// it again for the next batch, re-stages nothing.
   void apply_columns_impl(const std::vector<const std::vector<Scalar>*>& X,
                           const std::vector<std::vector<Scalar>*>& Y,
                           OpProfile* prof) const override {
-    const index_t w = static_cast<index_t>(X.size());
-    if (xb_.width != w) {
-      xb_.init(*A_.plan, w);
-      yb_.init(*A_.plan, w);
-      block_msgs_ = A_.plan->messages(sizeof(Scalar) * static_cast<double>(w));
-    }
-    apply_staged(X, Y, xb_, yb_, block_msgs_, prof);
+    Staging& st = staging(static_cast<index_t>(X.size()));
+    st.x.scatter_owned(X, policy_);
+    la::dist_spmv_multi(comm_, A_, st.msgs, st.x, st.y, overlap_, prof);
+    st.y.gather_owned(Y, policy_);
   }
 
  private:
-  void apply_staged(const std::vector<const std::vector<Scalar>*>& X,
-                    const std::vector<std::vector<Scalar>*>& Y,
-                    la::DistMultiVector<Scalar>& xs,
-                    la::DistMultiVector<Scalar>& ys,
-                    const std::vector<comm::Message>& msgs,
-                    OpProfile* prof) const {
-    xs.scatter_owned(X, policy_);
-    la::dist_spmv_multi(comm_, A_, msgs, xs, ys, overlap_, prof);
-    ys.gather_owned(Y, policy_);
+  /// Per-width staging: the scattered input and output blocks and the
+  /// width-scaled ghost-import messages.
+  struct Staging {
+    la::DistMultiVector<Scalar> x, y;
+    std::vector<comm::Message> msgs;
+  };
+
+  Staging& staging(index_t w) const {
+    const size_t k = static_cast<size_t>(w);
+    if (by_width_.size() <= k) by_width_.resize(k + 1);
+    Staging& st = by_width_[k];
+    if (st.x.plan == nullptr) {
+      st.x.init(*A_.plan, w);
+      st.y.init(*A_.plan, w);
+      st.msgs = A_.plan->messages(sizeof(Scalar) * static_cast<double>(w));
+    }
+    return st;
   }
 
   const la::DistCsrMatrix<Scalar>& A_;
   comm::Communicator& comm_;
   exec::ExecPolicy policy_;
   bool overlap_;
-  mutable la::DistMultiVector<Scalar> x1_, y1_;  ///< width-1 staging
+  mutable std::vector<Staging> by_width_;  ///< index: width (0 unused)
   mutable std::vector<const std::vector<Scalar>*> x_col_{nullptr};
   mutable std::vector<std::vector<Scalar>*> y_col_{nullptr};
-  std::vector<comm::Message> halo_msgs_;  ///< cached off the hot path
-  mutable la::DistMultiVector<Scalar> xb_, yb_;  ///< block-apply staging
-  mutable std::vector<comm::Message> block_msgs_;
 };
 
 }  // namespace frosch::krylov

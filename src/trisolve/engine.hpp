@@ -21,6 +21,7 @@
 
 #include <array>
 #include <memory>
+#include <vector>
 
 #include "common/enum_parse.hpp"
 #include "common/op_profile.hpp"
@@ -80,6 +81,23 @@ class TriangularEngine {
   /// Solves with both factors, applying the pivot permutation first.
   virtual void solve(const std::vector<Scalar>& b, std::vector<Scalar>& x,
                      OpProfile* prof) const = 0;
+
+  /// Block solve of w right-hand sides: B and X are n x w blocks stored
+  /// row-major interleaved (entry (i, c) at [i * w + c]); X holds n * w
+  /// entries and does not alias B.  Column c of X is bitwise what solve()
+  /// returns for column c of B.  The exact engines override this with one
+  /// sweep that reads each factor row once for all columns (their solve()
+  /// is its width-1 call); this default solves column by column.
+  virtual void solve_block(index_t n, index_t w, const Scalar* B, Scalar* X,
+                           OpProfile* prof) const {
+    const size_t rows = static_cast<size_t>(n), ws = static_cast<size_t>(w);
+    std::vector<Scalar> b(rows), x;
+    for (size_t c = 0; c < ws; ++c) {
+      for (size_t i = 0; i < rows; ++i) b[i] = B[i * ws + c];
+      solve(b, x, prof);
+      for (size_t i = 0; i < rows; ++i) X[i * ws + c] = x[i];
+    }
+  }
 
   virtual TrisolveKind kind() const = 0;
 };

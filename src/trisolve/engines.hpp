@@ -31,12 +31,25 @@ inline void touch_factor(const exec::ExecPolicy& pol,
                   device::Xfer::Factor);
 }
 
+/// Base of the exact engines: their single-vector solve is the width-1 call
+/// of their block solve, so one sweep body serves both.
+template <class Scalar>
+class BlockSweepEngine : public TriangularEngine<Scalar> {
+ public:
+  void solve(const std::vector<Scalar>& b, std::vector<Scalar>& x,
+             OpProfile* prof) const final {
+    x.resize(b.size());
+    this->solve_block(static_cast<index_t>(b.size()), 1, b.data(), x.data(),
+                      prof);
+  }
+};
+
 }  // namespace detail
 
 /// CPU baseline: sequential substitution.  One "launch" per factor; critical
 /// path = n rows (fully serial -- deliberately ignores the exec policy).
 template <class Scalar>
-class SubstitutionEngine final : public TriangularEngine<Scalar> {
+class SubstitutionEngine final : public detail::BlockSweepEngine<Scalar> {
  public:
   explicit SubstitutionEngine(const exec::ExecPolicy& policy = {})
       : policy_(policy) {}
@@ -51,19 +64,25 @@ class SubstitutionEngine final : public TriangularEngine<Scalar> {
     }
   }
 
-  void solve(const std::vector<Scalar>& b, std::vector<Scalar>& x,
-             OpProfile* prof) const override {
+  void solve_block(index_t n, index_t w, const Scalar* B, Scalar* X,
+                   OpProfile* prof) const override {
     detail::touch_factor(policy_, fact_);
-    fact_->apply_row_perm(b, x);
-    forward_solve(fact_->L, fact_->unit_diag_L, x);
-    backward_solve(fact_->U, x);
-    device::launches(policy_, 2);
+    fact_->apply_row_perm(B, X, n, w);
+    const index_t tiles = for_column_tiles(w, [&](auto W, index_t c0) {
+      constexpr index_t kW = decltype(W)::value;
+      substitution_sweep<kW>(fact_->L, fact_->unit_diag_L, /*forward=*/true,
+                             X + c0, w);
+      substitution_sweep<kW>(fact_->U, /*unit_diag=*/false,
+                             /*forward=*/false, X + c0, w);
+    });
+    device::launches(policy_, 2 * tiles);
     if (prof) {
-      prof->flops += 2.0 * static_cast<double>(fact_->factor_nnz());
-      prof->bytes += fact_->L.storage_bytes() + fact_->U.storage_bytes();
-      prof->launches += 2;
-      prof->critical_path += 2 * fact_->n();  // inherently serial
-      prof->work_items += 2.0;                // one task per sweep
+      prof->flops += 2.0 * static_cast<double>(fact_->factor_nnz()) * w;
+      prof->bytes += static_cast<double>(tiles) *
+                     (fact_->L.storage_bytes() + fact_->U.storage_bytes());
+      prof->launches += 2 * tiles;
+      prof->critical_path += 2 * tiles * fact_->n();  // inherently serial
+      prof->work_items += 2.0 * tiles;                // one task per sweep
     }
   }
 
@@ -77,7 +96,7 @@ class SubstitutionEngine final : public TriangularEngine<Scalar> {
 /// Element-based level-set scheduling [Anderson & Saad 1989]: rows grouped
 /// into dependency levels; one kernel launch (parallel region) per level.
 template <class Scalar>
-class LevelSetEngine final : public TriangularEngine<Scalar> {
+class LevelSetEngine final : public detail::BlockSweepEngine<Scalar> {
  public:
   explicit LevelSetEngine(const exec::ExecPolicy& policy = {})
       : policy_(policy) {}
@@ -97,18 +116,21 @@ class LevelSetEngine final : public TriangularEngine<Scalar> {
     }
   }
 
-  void solve(const std::vector<Scalar>& b, std::vector<Scalar>& x,
-             OpProfile* prof) const override {
+  void solve_block(index_t n, index_t w, const Scalar* B, Scalar* X,
+                   OpProfile* prof) const override {
     detail::touch_factor(policy_, fact_);
-    fact_->apply_row_perm(b, x);
-    level_scheduled_solve(fact_->L, fact_->unit_diag_L, lorder_, lptr_, x,
-                          policy_);
-    level_scheduled_solve(fact_->U, /*unit_diag=*/false, uorder_, uptr_, x,
-                          policy_);
-    device::launches(policy_,
-                     static_cast<count_t>(lower_nlevels_ + upper_nlevels_));
-    record_levelset_sweep(fact_->L, lower_nlevels_, prof);
-    record_levelset_sweep(fact_->U, upper_nlevels_, prof);
+    fact_->apply_row_perm(B, X, n, w);
+    const index_t tiles = for_column_tiles(w, [&](auto W, index_t c0) {
+      constexpr index_t kW = decltype(W)::value;
+      level_scheduled_solve<kW>(fact_->L, fact_->unit_diag_L, lorder_, lptr_,
+                                X + c0, w, policy_);
+      level_scheduled_solve<kW>(fact_->U, /*unit_diag=*/false, uorder_, uptr_,
+                                X + c0, w, policy_);
+    });
+    device::launches(policy_, static_cast<count_t>(tiles) *
+                                  (lower_nlevels_ + upper_nlevels_));
+    record_levelset_sweep(fact_->L, lower_nlevels_, w, prof);
+    record_levelset_sweep(fact_->U, upper_nlevels_, w, prof);
   }
 
   TrisolveKind kind() const override { return TrisolveKind::LevelSet; }
@@ -133,7 +155,7 @@ class LevelSetEngine final : public TriangularEngine<Scalar> {
 /// task (same-block dependencies), in factor order -- bitwise identical to
 /// serial substitution.
 template <class Scalar>
-class SupernodalEngine final : public TriangularEngine<Scalar> {
+class SupernodalEngine final : public detail::BlockSweepEngine<Scalar> {
  public:
   explicit SupernodalEngine(const exec::ExecPolicy& policy = {})
       : policy_(policy) {}
@@ -167,26 +189,32 @@ class SupernodalEngine final : public TriangularEngine<Scalar> {
     }
   }
 
-  void solve(const std::vector<Scalar>& b, std::vector<Scalar>& x,
-             OpProfile* prof) const override {
+  void solve_block(index_t n, index_t w, const Scalar* B, Scalar* X,
+                   OpProfile* prof) const override {
     detail::touch_factor(policy_, fact_);
-    fact_->apply_row_perm(b, x);
-    block_sweep(fact_->L, fact_->unit_diag_L, /*forward=*/true, lsn_order_,
-                lsn_ptr_, x);
-    block_sweep(fact_->U, /*unit_diag=*/false, /*forward=*/false, usn_order_,
-                usn_ptr_, x);
-    device::launches(policy_,
-                     static_cast<count_t>(lower_nlevels_ + upper_nlevels_));
+    fact_->apply_row_perm(B, X, n, w);
+    const index_t tiles = for_column_tiles(w, [&](auto W, index_t c0) {
+      constexpr index_t kW = decltype(W)::value;
+      block_sweep<kW>(fact_->L, fact_->unit_diag_L, /*forward=*/true,
+                      lsn_order_, lsn_ptr_, X + c0, w);
+      block_sweep<kW>(fact_->U, /*unit_diag=*/false, /*forward=*/false,
+                      usn_order_, usn_ptr_, X + c0, w);
+    });
+    const count_t levels =
+        static_cast<count_t>(tiles) * (lower_nlevels_ + upper_nlevels_);
+    device::launches(policy_, levels);
     if (prof) {
-      prof->flops += 2.0 * static_cast<double>(fact_->factor_nnz());
-      prof->bytes += fact_->L.storage_bytes() + fact_->U.storage_bytes();
-      prof->launches += lower_nlevels_ + upper_nlevels_;
-      prof->critical_path += lower_nlevels_ + upper_nlevels_;
+      prof->flops += 2.0 * static_cast<double>(fact_->factor_nnz()) * w;
+      prof->bytes += static_cast<double>(tiles) *
+                     (fact_->L.storage_bytes() + fact_->U.storage_bytes());
+      prof->launches += levels;
+      prof->critical_path += levels;
       // Within a supernode level, team kernels parallelize over the block
-      // entries (dense triangular solve + gemv), so the exposed width is
-      // the factor nnz spread over the levels -- the structural advantage
-      // over the row-parallel element-wise schedule.
-      prof->work_items += static_cast<double>(fact_->factor_nnz());
+      // entries (dense triangular solve + gemv) of every column, so the
+      // exposed width is the factor nnz times the block width spread over
+      // the levels -- the structural advantage over the row-parallel
+      // element-wise schedule.
+      prof->work_items += static_cast<double>(fact_->factor_nnz()) * w;
     }
   }
 
@@ -223,11 +251,13 @@ class SupernodalEngine final : public TriangularEngine<Scalar> {
     return level;
   }
 
-  /// One block-level sweep: supernodes of a level in parallel, the rows of
-  /// one supernode sequentially (ascending for L, descending for U).
+  /// One block-level sweep over W interleaved columns: supernodes of a
+  /// level in parallel, the rows of one supernode sequentially (ascending
+  /// for L, descending for U).
+  template <index_t W>
   void block_sweep(const la::CsrMatrix<Scalar>& T, bool unit_diag,
                    bool forward, const IndexVector& sn_order,
-                   const IndexVector& sn_lptr, std::vector<Scalar>& x) const {
+                   const IndexVector& sn_lptr, Scalar* X, index_t ld) const {
     const auto& sn_ptr = fact_->sn_ptr;
     const index_t nlevels = static_cast<index_t>(sn_lptr.size()) - 1;
     for (index_t l = 0; l < nlevels; ++l) {
@@ -238,7 +268,7 @@ class SupernodalEngine final : public TriangularEngine<Scalar> {
             const index_t s = sn_order[begin + q];
             const index_t rb = sn_ptr[s], re = sn_ptr[s + 1];
             for (index_t r = 0; r < re - rb; ++r) {
-              solve_row(T, unit_diag, forward ? rb + r : re - 1 - r, x);
+              solve_row<W>(T, unit_diag, forward ? rb + r : re - 1 - r, X, ld);
             }
           },
           /*grain=*/16);

@@ -4,6 +4,8 @@
 // two-level scalability claim of Section III.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <set>
 
 #include "dd/decomposition.hpp"
@@ -472,6 +474,217 @@ TEST(ParallelSchwarz, ThreadedSetupAndApplyMatchSerial) {
   prec.apply(x, y, nullptr);
   ASSERT_EQ(y.size(), y_serial.size());
   for (size_t i = 0; i < y.size(); ++i) EXPECT_EQ(y[i], y_serial[i]);
+}
+
+// ---------------------------------------------------------------------------
+// Block apply (DESIGN.md section 1b): apply_columns runs one interleaved
+// local block solve per part, one halo exchange and one coarse gather /
+// broadcast pair per block; every column is bitwise its solo apply.
+
+std::vector<std::vector<double>> block_columns(index_t n, size_t w) {
+  std::vector<std::vector<double>> X(w, std::vector<double>(n));
+  for (size_t c = 0; c < w; ++c)
+    for (index_t i = 0; i < n; ++i)
+      X[c][i] = std::sin(0.37 * (i + 1) * static_cast<double>(c + 1)) +
+                0.1 * static_cast<double>(c);
+  return X;
+}
+
+/// apply_columns on the leading columns of a 9-column block at widths
+/// {1, 2, 3, 5} and 9 (two column tiles), each column compared bit for bit
+/// with apply() on that column alone.
+void expect_block_matches_solo(const krylov::LinearOperator<double>& op,
+                               const std::string& what) {
+  const index_t n = op.rows();
+  const auto X = block_columns(n, 9);
+  std::vector<std::vector<double>> solo(X.size(), std::vector<double>(n));
+  for (size_t c = 0; c < X.size(); ++c) op.apply(X[c], solo[c], nullptr);
+  for (size_t w : {1, 2, 3, 5, 9}) {
+    std::vector<std::vector<double>> Xw(X.begin(), X.begin() + w);
+    std::vector<std::vector<double>> Y(w, std::vector<double>(n, -1.0));
+    op.apply_columns(Xw, Y, nullptr);
+    for (size_t c = 0; c < w; ++c)
+      EXPECT_EQ(
+          std::memcmp(Y[c].data(), solo[c].data(), n * sizeof(double)), 0)
+          << what << " width " << w << " column " << c;
+  }
+}
+
+std::string block_case(LocalSolverKind kind, trisolve::TrisolveKind tri,
+                       Ordering ord, int R, int T) {
+  return std::string(to_string(kind)) + "+" + trisolve::to_string(tri) +
+         " " + to_string(ord) + " ranks=" + std::to_string(R) +
+         " threads=" + std::to_string(T);
+}
+
+TEST(BlockApply, ColumnsMatchSoloAppliesForEveryExactEngine) {
+  auto p = laplace_problem(6, 2, 2, 1);
+  auto d = build_decomposition(p.A, p.owner, p.num_parts, 1);
+  for (auto kind : {LocalSolverKind::TachoLike, LocalSolverKind::SuperLULike,
+                    LocalSolverKind::Iluk}) {
+    for (auto tri : {trisolve::TrisolveKind::Substitution,
+                     trisolve::TrisolveKind::LevelSet,
+                     trisolve::TrisolveKind::SupernodalLevelSet,
+                     trisolve::TrisolveKind::PartitionedInverse}) {
+      for (auto ord : {Ordering::NestedDissection, Ordering::Natural}) {
+        for (int R : {1, 4}) {
+          for (int T : {1, 4}) {
+            SchwarzConfig cfg;
+            cfg.subdomain.kind = kind;
+            cfg.subdomain.trisolve = tri;
+            cfg.subdomain.ordering = ord;
+            cfg.exec = exec::ExecPolicy::with_threads(T);
+            comm::SimComm comm(R, cfg.exec);
+            cfg.comm = &comm;
+            SchwarzPreconditioner<double> prec(cfg, d);
+            prec.symbolic_setup(p.A);
+            prec.numeric_setup(p.A, p.Z);
+            expect_block_matches_solo(prec, block_case(kind, tri, ord, R, T));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BlockApply, ApproximateSolversMatchTheirOwnSoloApplies) {
+  // JacobiSweeps solves column by column and FastIlu's factor is itself
+  // approximate: the block apply must still reproduce their solo bits.
+  auto p = laplace_problem(6, 2, 2, 1);
+  auto d = build_decomposition(p.A, p.owner, p.num_parts, 1);
+  for (auto kind : {LocalSolverKind::FastIlu, LocalSolverKind::Iluk}) {
+    for (auto tri : {trisolve::TrisolveKind::JacobiSweeps,
+                     trisolve::TrisolveKind::LevelSet}) {
+      for (int R : {1, 4}) {
+        for (int T : {1, 4}) {
+          SchwarzConfig cfg;
+          cfg.subdomain.kind = kind;
+          cfg.subdomain.trisolve = tri;
+          cfg.exec = exec::ExecPolicy::with_threads(T);
+          comm::SimComm comm(R, cfg.exec);
+          cfg.comm = &comm;
+          SchwarzPreconditioner<double> prec(cfg, d);
+          prec.symbolic_setup(p.A);
+          prec.numeric_setup(p.A, p.Z);
+          expect_block_matches_solo(
+              prec, block_case(kind, tri, cfg.subdomain.ordering, R, T));
+        }
+      }
+    }
+  }
+}
+
+TEST(BlockApply, HalfPrecisionForwardsTheBlock) {
+  auto p = laplace_problem(6, 2, 2, 1);
+  auto d = build_decomposition(p.A, p.owner, p.num_parts, 1);
+  SchwarzConfig cfg;
+  comm::SimComm comm(4);
+  cfg.comm = &comm;
+  HalfPrecisionPreconditioner<double, float> prec(cfg, d);
+  prec.symbolic_setup(p.A);
+  prec.numeric_setup(p.A, p.Z);
+  const count_t before = prec.inner().profiles().apply_count;
+  expect_block_matches_solo(prec, "schwarz-float");
+  // 9 solo applies plus 1 + 2 + 3 + 5 + 9 block columns, all counted.
+  EXPECT_EQ(prec.inner().profiles().apply_count - before, 9 + 20);
+  // One block reaches the inner Schwarz as one block: one halo set.
+  comm.reset_profiles();
+  const auto X = block_columns(p.A.num_rows(), 3);
+  std::vector<std::vector<double>> Y(3,
+                                     std::vector<double>(p.A.num_rows()));
+  prec.apply_columns(X, Y, nullptr);
+  count_t block_msgs = 0;
+  for (int r = 0; r < comm.size(); ++r) block_msgs += comm.prof(r).neighbor_msgs;
+  comm.reset_profiles();
+  prec.apply(X[0], Y[0], nullptr);
+  count_t solo_msgs = 0;
+  for (int r = 0; r < comm.size(); ++r) solo_msgs += comm.prof(r).neighbor_msgs;
+  EXPECT_GT(solo_msgs, 0);
+  EXPECT_EQ(block_msgs, solo_msgs);
+}
+
+TEST(BlockApply, OneHaloSetAndOneCoarseCollectivePairPerBlock) {
+  auto p = laplace_problem(6, 2, 2, 1);
+  auto d = build_decomposition(p.A, p.owner, p.num_parts, 1);
+  SchwarzConfig cfg;
+  comm::SimComm comm(4);
+  cfg.comm = &comm;
+  SchwarzPreconditioner<double> prec(cfg, d);
+  prec.symbolic_setup(p.A);
+  prec.numeric_setup(p.A, p.Z);
+  const index_t n = p.A.num_rows();
+  const size_t w = 3;
+  const auto X = block_columns(n, w);
+
+  // Width 1: the import set, the export set, one gather, one broadcast.
+  comm.reset_profiles();
+  const double bytes0 = prec.profiles().coarse_comm_bytes;
+  const count_t calls0 = prec.profiles().apply_count;
+  std::vector<double> y(static_cast<size_t>(n));
+  prec.apply(X[0], y, nullptr);
+  std::vector<OpProfile> one(4);
+  for (int r = 0; r < 4; ++r) one[r] = comm.prof(r);
+  const double coarse_one = prec.profiles().coarse_comm_bytes - bytes0;
+  EXPECT_EQ(prec.profiles().apply_count - calls0, 1);
+
+  // Width 3: the same messages and collectives, each carrying 3 columns.
+  comm.reset_profiles();
+  const double bytes1 = prec.profiles().coarse_comm_bytes;
+  const count_t calls1 = prec.profiles().apply_count;
+  std::vector<std::vector<double>> Y(w, std::vector<double>(n));
+  prec.apply_columns(X, Y, nullptr);
+  count_t msgs = 0;
+  for (int r = 0; r < 4; ++r) {
+    const OpProfile& blk = comm.prof(r);
+    msgs += blk.neighbor_msgs;
+    EXPECT_EQ(one[r].reductions, 2) << "rank " << r;  // gather + broadcast
+    EXPECT_EQ(blk.reductions, one[r].reductions) << "rank " << r;
+    EXPECT_EQ(blk.neighbor_msgs, one[r].neighbor_msgs) << "rank " << r;
+    EXPECT_EQ(blk.msg_bytes, 3.0 * one[r].msg_bytes) << "rank " << r;
+  }
+  EXPECT_GT(msgs, 0);
+  EXPECT_EQ(prec.profiles().coarse_comm_bytes - bytes1, 3.0 * coarse_one);
+  EXPECT_EQ(prec.profiles().apply_count - calls1, 3);
+}
+
+TEST(BlockApply, LocalSolverBlockSolveMatchesSolve) {
+  // The interleaved block solve at width 1 is bitwise solve(), and each
+  // column of a wider block (two column tiles at width 9) is bitwise the
+  // solve of that column -- for every backend, engine and ordering.
+  auto p = laplace_problem(5, 1, 1, 1);
+  const index_t n = p.A.num_rows();
+  const size_t w = 9;
+  const auto cols = block_columns(n, w);
+  std::vector<double> B(static_cast<size_t>(n) * w);
+  for (index_t i = 0; i < n; ++i)
+    for (size_t c = 0; c < w; ++c) B[i * w + c] = cols[c][i];
+  for (auto kind : EnumTraits<LocalSolverKind>::all) {
+    for (auto tri : EnumTraits<trisolve::TrisolveKind>::all) {
+      for (auto ord : {Ordering::NestedDissection, Ordering::Natural}) {
+        LocalSolverConfig lc;
+        lc.kind = kind;
+        lc.trisolve = tri;
+        lc.ordering = ord;
+        LocalSolver<double> solver(lc);
+        solver.symbolic(p.A);
+        solver.numeric(p.A);
+        const std::string what = block_case(kind, tri, ord, 1, 1);
+        std::vector<double> x, x1(static_cast<size_t>(n));
+        solver.solve(cols[0], x);
+        solver.solve(cols[0].data(), x1.data(), 1);
+        EXPECT_EQ(std::memcmp(x1.data(), x.data(), n * sizeof(double)), 0)
+            << what;
+        std::vector<double> X(B.size(), -1.0);
+        solver.solve(B.data(), X.data(), static_cast<index_t>(w));
+        for (size_t c = 0; c < w; ++c) {
+          solver.solve(cols[c], x);
+          for (index_t i = 0; i < n; ++i)
+            EXPECT_EQ(std::memcmp(&X[i * w + c], &x[i], sizeof(double)), 0)
+                << what << " column " << c << " row " << i;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <random>
 
 #include "comm/comm.hpp"
+#include "krylov/operator.hpp"
 #include "la/block.hpp"
 #include "la/csr.hpp"
 #include "la/dense.hpp"
@@ -559,6 +560,55 @@ TEST(DistSpmv, OverlappedBitwiseMatchesBlockingAcrossRanksAndThreads) {
             EXPECT_EQ(p3.overlap_s, 0.0) << what;
           }
         }
+      }
+    }
+  }
+}
+
+TEST(DistCsrOperator, ShrinkingAndRegrowingWidthsMatchWidth1Bitwise) {
+  // Block GMRES drops each converged column from its block, and the next
+  // batch widens it again: widths 4 -> 2 -> 4 -> 1 on ONE operator, whose
+  // staging per width is built once and kept.  Every column is bitwise its
+  // width-1 apply, and every width posts one message per transfer with the
+  // payload scaled by the width.
+  auto prob = frosch::test::laplace_problem(8, 2, 2, 1);
+  const auto& A = prob.A;
+  const index_t n = A.num_rows();
+  std::vector<std::vector<double>> X;
+  for (unsigned c = 0; c < 4; ++c)
+    X.push_back(frosch::test::random_vector(n, 50 + c));
+  for (int R : {1, 4}) {
+    for (bool overlap : {false, true}) {
+      IndexVector rank_of(static_cast<size_t>(n));
+      comm::SimComm owner_map(R);
+      for (index_t i = 0; i < n; ++i) rank_of[i] = owner_map.block_owner(n, i);
+      const auto plan = build_halo_plan(A, rank_of, R);
+      DistCsrMatrix<double> Ad(A, plan);
+      comm::SimComm comm(R);
+      krylov::DistCsrOperator<double> op(Ad, comm, {}, overlap);
+      const std::string what =
+          "R=" + std::to_string(R) + " overlap=" + std::to_string(overlap);
+
+      std::vector<std::vector<double>> ref(4, std::vector<double>(n));
+      op.apply(X[0], ref[0], nullptr);
+      OpProfile one;
+      for (int r = 0; r < R; ++r) one += comm.prof(r);
+      for (size_t c = 1; c < 4; ++c) op.apply(X[c], ref[c], nullptr);
+
+      for (size_t w : {size_t(4), size_t(2), size_t(4), size_t(1)}) {
+        comm.reset_profiles();
+        std::vector<std::vector<double>> Xw(X.begin(), X.begin() + w);
+        std::vector<std::vector<double>> Y(w, std::vector<double>(n, -1.0));
+        op.apply_columns(Xw, Y, nullptr);
+        for (size_t c = 0; c < w; ++c)
+          EXPECT_EQ(std::memcmp(Y[c].data(), ref[c].data(), n * sizeof(double)),
+                    0)
+              << what << " width " << w << " column " << c;
+        OpProfile blk;
+        for (int r = 0; r < R; ++r) blk += comm.prof(r);
+        EXPECT_EQ(blk.neighbor_msgs, one.neighbor_msgs) << what << " width " << w;
+        EXPECT_EQ(blk.msg_bytes, static_cast<double>(w) * one.msg_bytes)
+            << what << " width " << w;
       }
     }
   }
