@@ -167,32 +167,32 @@ namespace detail {
 
 /// The per-part extension solves shared by the cold and refresh paths of
 /// extend_basis: finds the coarse columns active on this interior, solves
-/// each against -W(I, c), and collects the nonzero Phi entries.  Identical
+/// each against -W(I, c), and collects the nonzero Phi entries.  `Wt` is
+/// W's transpose, so row c lists column c's (W row, value) pairs; this
+/// interior owns W's rows [w0, w0 + |I|), one per dof of `I`.  Identical
 /// inputs produce identical entries, which is what extends the bitwise
 /// refresh contract through the coarse basis.
 template <class Scalar, class Entry>
-void extension_solve_columns(const la::CsrMatrix<Scalar>& W,
+void extension_solve_columns(const la::CsrMatrix<Scalar>& Wt, index_t w0,
                              const IndexVector& I, index_t nc,
                              const LocalSolver<Scalar>& solver,
                              std::vector<Entry>& entries, OpProfile* pprof) {
-  // Which coarse columns touch this interior?  Walk W rows of I.
-  auto Wp = la::extract_rows(W, I);
-  std::vector<char> active(static_cast<size_t>(nc), 0);
-  for (index_t r = 0; r < Wp.num_rows(); ++r)
-    for (index_t k = Wp.row_begin(r); k < Wp.row_end(r); ++k)
-      active[Wp.col(k)] = 1;
-  std::vector<Scalar> rhs(I.size()), x;
+  const index_t w1 = w0 + static_cast<index_t>(I.size());
+  const auto cols = Wt.colind().begin();
+  std::vector<Scalar> rhs(I.size(), Scalar(0)), x;
   OpProfile batched;  // all RHS solved as one batched multi-vector solve
   index_t n_active = 0;
   for (index_t c = 0; c < nc; ++c) {
-    if (!active[c]) continue;
+    // Column c's entries on this interior: a sorted sub-range of Wt's row.
+    const auto kb = std::lower_bound(cols + Wt.row_begin(c),
+                                     cols + Wt.row_end(c), w0) - cols;
+    const auto ke =
+        std::lower_bound(cols + kb, cols + Wt.row_end(c), w1) - cols;
+    if (kb == ke) continue;
     ++n_active;
-    std::fill(rhs.begin(), rhs.end(), Scalar(0));
-    for (index_t r = 0; r < Wp.num_rows(); ++r) {
-      const index_t pos = Wp.find(r, c);
-      if (pos >= 0) rhs[r] = -Wp.val(pos);
-    }
+    for (auto k = kb; k < ke; ++k) rhs[Wt.col(k) - w0] = -Wt.val(k);
     solver.solve(rhs, x, &batched);
+    for (auto k = kb; k < ke; ++k) rhs[Wt.col(k) - w0] = Scalar(0);
     for (size_t q = 0; q < I.size(); ++q) {
       if (x[q] != Scalar(0)) entries.push_back({I[q], c, x[q]});
     }
@@ -210,12 +210,13 @@ void extension_solve_columns(const la::CsrMatrix<Scalar>& W,
 
 }  // namespace detail
 
-/// Base-layer cache of the interior-extension solves, filled by the first
-/// extend_basis call that receives it and reused by refresh calls: the
-/// per-part interior index sets, the extracted interior matrices with their
-/// value maps into A, and the factorized extension solvers (whose symbolic
-/// structure -- ordering, elimination tree, level schedule -- survives a
-/// value-only matrix change).  See DESIGN.md section 9.
+/// Base-layer cache of the interior-extension solves, filled by a cold
+/// extend_basis call and reused by refresh calls: the per-part interior
+/// index sets, the extracted interior matrices with their value maps into
+/// A, the factorized extension solvers (whose symbolic structure --
+/// ordering, elimination tree, level schedule -- survives a value-only
+/// matrix change), and the structure of the extension right-hand sides
+/// W = A(interior, :) Phi_Gamma.  See DESIGN.md section 9.
 template <class Scalar>
 struct ExtensionCache {
   bool valid = false;
@@ -223,6 +224,9 @@ struct ExtensionCache {
   std::vector<la::CsrMatrix<Scalar>> App;  ///< per part, interior matrix
   std::vector<IndexVector> App_map;        ///< per part, App entry -> A entry
   std::vector<std::unique_ptr<LocalSolver<Scalar>>> solvers;  ///< per part
+  IndexVector W_rows;    ///< W's row -> dof: the interiors, part after part
+  IndexVector W_first;   ///< per part, its first row of W (num_parts + 1)
+  la::CsrMatrix<Scalar> W;  ///< A(W_rows, :) Phi_Gamma
 
   void reset(index_t num_parts) {
     valid = false;
@@ -231,6 +235,9 @@ struct ExtensionCache {
     App_map.assign(static_cast<size_t>(num_parts), {});
     solvers.clear();
     solvers.resize(static_cast<size_t>(num_parts));
+    W_rows.clear();
+    W_first.assign(static_cast<size_t>(num_parts) + 1, 0);
+    W = {};
   }
 };
 
@@ -242,46 +249,50 @@ struct ExtensionCache {
 /// its Phi entries privately and they are merged in part order, so the
 /// result is identical at every thread count.
 ///
-/// `cache` (optional) enables the layered-setup reuse (DESIGN.md section
-/// 9): a cold call fills it; a call with `refresh` set reuses the cached
-/// interior sets, extracted matrices, and solver symbolic structure,
-/// re-running only the numeric overlays (value copy-up, numeric
-/// refactorization, extension solves).  The refreshed Phi is bitwise
-/// identical to a cold rebuild on the same matrix -- the right-hand sides
-/// and solves are value-dependent and always re-run.
+/// Layered setup (DESIGN.md section 9): a cold call fills `cache`; a call
+/// with `refresh` set reuses the cached interior sets, extracted matrices,
+/// solver symbolic structure and W structure, re-running only the numeric
+/// overlays (W's numeric product, value copy-up, numeric refactorization,
+/// extension solves).  The refreshed Phi is bitwise identical to a cold
+/// rebuild on the same matrix -- the right-hand sides and solves are
+/// value-dependent and always re-run.
 template <class Scalar>
 la::CsrMatrix<Scalar> extend_basis(const la::CsrMatrix<Scalar>& A,
                                    const Decomposition& d,
                                    const InterfacePartition& ip,
                                    const la::CsrMatrix<Scalar>& phi_gamma,
                                    const LocalSolverConfig& ext_cfg,
+                                   ExtensionCache<Scalar>& cache, bool refresh,
                                    CoarseSpaceProfile* prof = nullptr,
                                    const exec::ExecPolicy& policy = {},
-                                   const IndexVector* part_ranks = nullptr,
-                                   ExtensionCache<Scalar>* cache = nullptr,
-                                   bool refresh = false) {
+                                   const IndexVector* part_ranks = nullptr) {
   const index_t n = A.num_rows();
   const index_t nc = phi_gamma.num_cols();
-  FROSCH_CHECK(!refresh || (cache != nullptr && cache->valid),
+  FROSCH_CHECK(!refresh || cache.valid,
                "extend_basis: refresh requires a filled cache");
   if (prof) prof->per_part_extension.assign(static_cast<size_t>(d.num_parts), {});
 
-  // RHS for all extensions at once: W = A * Phi_Gamma restricted to interior
-  // rows (Phi_Gamma vanishes on the interior, so interior rows of W equal
-  // A_IGamma Phi_Gamma).  Value-dependent: recomputed on refresh too.
-  OpProfile* rhs_prof = prof ? &prof->extension_rhs : nullptr;
-  la::CsrMatrix<Scalar> W = la::spgemm(A, phi_gamma, rhs_prof);
-
-  // Interior dofs per part (base layer: cached across refreshes).
-  std::vector<IndexVector> interior_of;
+  // Interior dofs per part and the rows of W (base layers: cached across
+  // refreshes).
   if (!refresh) {
-    interior_of.assign(static_cast<size_t>(d.num_parts), {});
-    for (index_t i : ip.interior_dofs) interior_of[d.owner[i]].push_back(i);
-    if (cache != nullptr) {
-      cache->reset(d.num_parts);
-      cache->interior_of = interior_of;
+    cache.reset(d.num_parts);
+    for (index_t i : ip.interior_dofs) cache.interior_of[d.owner[i]].push_back(i);
+    for (index_t p = 0; p < d.num_parts; ++p) {
+      const auto& I = cache.interior_of[p];
+      cache.W_rows.insert(cache.W_rows.end(), I.begin(), I.end());
+      cache.W_first[p + 1] = static_cast<index_t>(cache.W_rows.size());
     }
   }
+
+  // RHS for all extensions at once: W = A * Phi_Gamma on the interior rows
+  // only (Phi_Gamma vanishes on the interior, so they equal A_IGamma
+  // Phi_Gamma).  Its structure is pattern-derived; its values are recomputed
+  // on refresh.
+  OpProfile* rhs_prof = prof ? &prof->extension_rhs : nullptr;
+  if (!refresh)
+    cache.W = la::spgemm_symbolic(A, phi_gamma, &cache.W_rows, rhs_prof);
+  la::spgemm_numeric(A, phi_gamma, cache.W, &cache.W_rows, rhs_prof);
+  const la::CsrMatrix<Scalar> Wt = la::transpose(cache.W);
 
   // Per-part private results, merged serially below.
   struct PartEntry {
@@ -295,7 +306,7 @@ la::CsrMatrix<Scalar> extend_basis(const la::CsrMatrix<Scalar>& A,
   exec::parallel_for(
       policy, d.num_parts,
       [&](index_t p) {
-        const IndexVector& I = refresh ? cache->interior_of[p] : interior_of[p];
+        const IndexVector& I = cache.interior_of[p];
         if (I.empty()) return;
         OpProfile* pprof = prof ? &part_prof[p] : nullptr;
         // Local interior matrix and its factorization.  The extension solve
@@ -303,33 +314,23 @@ la::CsrMatrix<Scalar> extend_basis(const la::CsrMatrix<Scalar>& A,
         if (refresh) {
           // Copy up only the interior values and refactor numerically
           // against the frozen symbolic structure.
-          la::refresh_submatrix_values(A, cache->App_map[p], cache->App[p]);
-          cache->solvers[p]->numeric_refresh(cache->App[p], pprof, pprof);
-          detail::extension_solve_columns(W, I, nc, *cache->solvers[p],
-                                          part_entries[p], pprof);
-          return;
+          la::refresh_submatrix_values(A, cache.App_map[p], cache.App[p]);
+          cache.solvers[p]->numeric_refresh(cache.App[p], pprof, pprof);
+        } else {
+          LocalSolverConfig pcfg = ext_cfg;
+          if (part_ranks != nullptr)
+            pcfg.exec.device_rank = static_cast<int>((*part_ranks)[p]);
+          cache.App[p] = la::extract_submatrix(A, I, I, &cache.App_map[p]);
+          cache.solvers[p] = std::make_unique<LocalSolver<Scalar>>(pcfg);
+          cache.solvers[p]->symbolic(cache.App[p], pprof);
+          cache.solvers[p]->numeric(cache.App[p], pprof, pprof);
         }
-        LocalSolverConfig pcfg = ext_cfg;
-        if (part_ranks != nullptr)
-          pcfg.exec.device_rank = static_cast<int>((*part_ranks)[p]);
-        if (cache != nullptr) {
-          cache->App[p] = la::extract_submatrix(A, I, I, &cache->App_map[p]);
-          cache->solvers[p] = std::make_unique<LocalSolver<Scalar>>(pcfg);
-          cache->solvers[p]->symbolic(cache->App[p], pprof);
-          cache->solvers[p]->numeric(cache->App[p], pprof, pprof);
-          detail::extension_solve_columns(W, I, nc, *cache->solvers[p],
-                                          part_entries[p], pprof);
-          return;
-        }
-        auto App = la::extract_submatrix(A, I, I);
-        LocalSolver<Scalar> solver(pcfg);
-        solver.symbolic(App, pprof);
-        solver.numeric(App, pprof, pprof);
-        detail::extension_solve_columns(W, I, nc, solver, part_entries[p],
+        detail::extension_solve_columns(Wt, cache.W_first[p], I, nc,
+                                        *cache.solvers[p], part_entries[p],
                                         pprof);
       },
       /*grain=*/1);
-  if (cache != nullptr && !refresh) cache->valid = true;
+  cache.valid = true;
 
   la::TripletBuilder<Scalar> phi_b(n, nc);
   // Interface block of Phi = Phi_Gamma itself.

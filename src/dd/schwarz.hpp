@@ -275,8 +275,9 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
       has_coarse_ = true;
 
       CoarseSpaceProfile csp;
-      phi_ = extend_basis(A, decomp_, iface_, phi_gamma_, cfg_.extension, &csp,
-                          cfg_.exec, &part_rank_, &ext_cache_);
+      phi_ = extend_basis(A, decomp_, iface_, phi_gamma_, cfg_.extension,
+                          ext_cache_, /*refresh=*/false, &csp, cfg_.exec,
+                          &part_rank_);
       bk["coarse-basis-extension"] += csp.extension_solves;
       bk["coarse-basis-extension"] += csp.extension_rhs;
       for (index_t p = 0; p < decomp_.num_parts; ++p) {
@@ -285,8 +286,7 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
       }
 
       OpProfile rap;
-      auto At_phi = la::spgemm(A, phi_, &rap);
-      A0_ = la::spgemm(la::transpose(phi_, &rap), At_phi, &rap);
+      galerkin_product(A, /*reuse=*/false, &rap);
       bk["coarse-rap-spgemm"] += rap;
       prof_.coarse.numeric += rap;
       prof_.coarse_dim = A0_.num_rows();
@@ -373,9 +373,10 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
         arena->invalidate(cfg_.exec.device_rank, phi_.values().data());
 
       CoarseSpaceProfile csp;
-      phi_ = extend_basis(A, decomp_, iface_, phi_gamma_, cfg_.extension, &csp,
-                          cfg_.exec, &part_rank_, &ext_cache_,
-                          /*refresh=*/true);
+      la::CsrMatrix<Scalar> phi =
+          extend_basis(A, decomp_, iface_, phi_gamma_, cfg_.extension,
+                       ext_cache_, /*refresh=*/true, &csp, cfg_.exec,
+                       &part_rank_);
       bk["coarse-basis-extension"] += csp.extension_solves;
       bk["coarse-basis-extension"] += csp.extension_rhs;
       for (index_t p = 0; p < decomp_.num_parts; ++p) {
@@ -383,15 +384,13 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
         prof_.rank_extension[part_rank_[p]] += csp.per_part_extension[p];
       }
 
+      // Phi drops exact numeric zeros, so its pattern can move with the
+      // values; the cached Galerkin structures are keyed on it.
+      const bool same_phi_pattern =
+          phi.rowptr() == phi_.rowptr() && phi.colind() == phi_.colind();
+      phi_ = std::move(phi);
       OpProfile rap;
-      auto At_phi = la::spgemm(A, phi_, &rap);
-      la::CsrMatrix<Scalar> A0 =
-          la::spgemm(la::transpose(phi_, &rap), At_phi, &rap);
-      // A value-dependent basis entry can change the coarse pattern; the
-      // hook checks that itself, the inline coarse solver is checked here.
-      const bool same_coarse_pattern =
-          A0.rowptr() == A0_.rowptr() && A0.colind() == A0_.colind();
-      A0_ = std::move(A0);
+      galerkin_product(A, same_phi_pattern, &rap);
       bk["coarse-rap-spgemm"] += rap;
       prof_.coarse.numeric += rap;
       prof_.coarse_dim = A0_.num_rows();
@@ -414,9 +413,11 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
       }
 
       OpProfile cfac;
+      // An unchanged Phi pattern keeps A0's; the hook checks the coarse
+      // pattern itself.
       if (coarse_hook_) {
         coarse_hook_->numeric_refresh(A0_, *comm_, &cfac);
-      } else if (same_coarse_pattern) {
+      } else if (same_phi_pattern) {
         coarse_solver_->numeric_refresh(A0_, &cfac, &cfac);
       } else {
         coarse_solver_->symbolic(A0_, &cfac);
@@ -535,7 +536,7 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
       }
       for (size_t c = 0; c < ws; ++c)
         la::spmv_transpose(phi_, *X[c], r0_[c], Scalar(1), Scalar(0), &cp,
-                           cfg_.exec);
+                           cfg_.exec, &restrict_buf_);
       // Coarse rhs gathered to the subset, solved there, solution
       // replicated: two collectives per block with the coarse block's
       // payload.
@@ -565,6 +566,31 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
   }
 
  private:
+  /// A0 = Phi^T (A Phi) through the cached Galerkin structures (base layers,
+  /// DESIGN.md section 9): the structure of A Phi, Phi^T with its value map
+  /// from Phi, and A0's pattern.  Without `reuse` (cold setup, or a refresh
+  /// whose Phi pattern moved) the symbolic passes rebuild them; with it only
+  /// Phi^T's values are refilled and the numeric passes run.  Both give A0
+  /// bitwise equal to the one-pass product.
+  void galerkin_product(const la::CsrMatrix<Scalar>& A, bool reuse,
+                        OpProfile* rap) {
+    if (reuse) {
+      la::refresh_submatrix_values(phi_, phit_map_, phit_);
+      // The value gather: read the map and Phi's values, write Phi^T's.
+      rap->bytes += static_cast<double>(phit_map_.size()) *
+                    (sizeof(index_t) + 2.0 * sizeof(Scalar));
+      rap->launches += 1;
+      rap->critical_path += 1;
+      rap->work_items += static_cast<double>(phit_map_.size());
+    } else {
+      aphi_ = la::spgemm_symbolic(A, phi_, nullptr, rap);
+      phit_ = la::transpose(phi_, rap, &phit_map_);
+      A0_ = la::spgemm_symbolic(phit_, aphi_, nullptr, rap);
+    }
+    la::spgemm_numeric(A, phi_, aphi_, nullptr, rap);
+    la::spgemm_numeric(phit_, aphi_, A0_, nullptr, rap);
+  }
+
   void numeric_local_setup(std::map<std::string, OpProfile>& bk) {
     // Independent per-subdomain factorizations -- the phase the paper's GPU
     // runs execute concurrently across local problems.  Profiles are
@@ -704,6 +730,8 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
   std::unique_ptr<CoarseLevelSolver<Scalar>> coarse_hook_;
   la::CsrMatrix<Scalar> phi_, A0_;
   la::CsrMatrix<Scalar> phi_gamma_;      ///< cached interface basis
+  la::CsrMatrix<Scalar> aphi_, phit_;    ///< cached A Phi and Phi^T
+  IndexVector phit_map_;                 ///< Phi^T entry -> Phi entry
   ExtensionCache<Scalar> ext_cache_;     ///< cached extension base layers
   std::vector<Scalar> vals_prev_;        ///< numeric baseline for refresh
   mutable SchwarzProfiles prof_;
@@ -712,6 +740,7 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
   // local solution and its profile; per column the coarse rhs/solution.
   mutable std::vector<std::vector<Scalar>> xblk_, yblk_, r0_, z0_;
   mutable std::vector<Scalar> wc_;  ///< one column's coarse correction
+  mutable std::vector<Scalar> restrict_buf_;  ///< Phi^T x chunk buffers
   mutable std::vector<OpProfile> locals_;
   mutable std::vector<comm::Message> import_w_, export_w_;
   mutable std::vector<const std::vector<Scalar>*> x_col_{nullptr};

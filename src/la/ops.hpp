@@ -1,4 +1,5 @@
-// Structural sparse operations: transpose, add, SpGEMM (Gustavson), symmetric
+// Structural sparse operations: transpose, add, SpGEMM (Gustavson, split
+// into a cacheable symbolic pass and a numeric pass), symmetric
 // permutation, and index-set submatrix extraction.
 //
 // SpGEMM is the kernel behind the Galerkin coarse-matrix product
@@ -16,10 +17,14 @@
 
 namespace frosch::la {
 
-/// B = A^T.  Two-pass counting transpose; O(nnz).
+/// B = A^T.  Two-pass counting transpose; O(nnz).  `entry_map` (optional)
+/// receives, per entry of B, the position of its source entry in A: the
+/// value map refresh_submatrix_values(A, *entry_map, B) refills B through
+/// when A's values change and its pattern does not.
 template <class Scalar>
 CsrMatrix<Scalar> transpose(const CsrMatrix<Scalar>& A,
-                            OpProfile* prof = nullptr) {
+                            OpProfile* prof = nullptr,
+                            IndexVector* entry_map = nullptr) {
   const index_t m = A.num_rows(), n = A.num_cols();
   std::vector<index_t> rowptr(static_cast<size_t>(n) + 1, 0);
   for (count_t k = 0; k < A.num_entries(); ++k)
@@ -29,11 +34,13 @@ CsrMatrix<Scalar> transpose(const CsrMatrix<Scalar>& A,
   std::vector<index_t> colind(static_cast<size_t>(A.num_entries()));
   std::vector<Scalar> values(static_cast<size_t>(A.num_entries()));
   std::vector<index_t> next(rowptr.begin(), rowptr.end() - 1);
+  if (entry_map) entry_map->resize(static_cast<size_t>(A.num_entries()));
   for (index_t i = 0; i < m; ++i) {
     for (index_t k = A.row_begin(i); k < A.row_end(i); ++k) {
       const index_t pos = next[A.col(k)]++;
       colind[pos] = i;
       values[pos] = A.val(k);
+      if (entry_map) (*entry_map)[static_cast<size_t>(pos)] = k;
     }
   }
   if (prof) {
@@ -80,57 +87,114 @@ CsrMatrix<Scalar> add(const CsrMatrix<Scalar>& A, const CsrMatrix<Scalar>& B,
                            std::move(colind), std::move(values));
 }
 
-/// C = A * B via Gustavson's row-wise algorithm with a dense scratch
-/// accumulator; symbolic + numeric in one pass per row.
+/// Symbolic pass of C = A(rows, :) * B (Gustavson, row by row with a
+/// marker array): C's row pointers and sorted column indices, with a value
+/// array sized for spgemm_numeric to fill.  Row i of C is row rows[i] of A
+/// (every row of A in order when `rows` is null).  The result depends only
+/// on the operands' patterns, so a caller that forms the same product with
+/// new values keeps C and reruns only the numeric pass -- the symbolic
+/// reuse of KokkosKernels' SpGEMM (Deveci, Trott & Rajamanickam 2018).
 template <class Scalar>
-CsrMatrix<Scalar> spgemm(const CsrMatrix<Scalar>& A, const CsrMatrix<Scalar>& B,
-                         OpProfile* prof = nullptr) {
+CsrMatrix<Scalar> spgemm_symbolic(const CsrMatrix<Scalar>& A,
+                                  const CsrMatrix<Scalar>& B,
+                                  const IndexVector* rows = nullptr,
+                                  OpProfile* prof = nullptr) {
   FROSCH_CHECK(A.num_cols() == B.num_rows(), "spgemm: inner dim mismatch");
-  const index_t m = A.num_rows(), n = B.num_cols();
+  const index_t m = rows ? static_cast<index_t>(rows->size()) : A.num_rows();
+  const index_t n = B.num_cols();
   std::vector<index_t> rowptr(static_cast<size_t>(m) + 1, 0);
   std::vector<index_t> colind;
-  std::vector<Scalar> values;
-
-  std::vector<Scalar> accum(static_cast<size_t>(n), Scalar(0));
   std::vector<index_t> marker(static_cast<size_t>(n), -1);
-  std::vector<index_t> row_cols;
-  double flops = 0.0;
-
   for (index_t i = 0; i < m; ++i) {
-    row_cols.clear();
-    for (index_t ka = A.row_begin(i); ka < A.row_end(i); ++ka) {
+    const index_t r = rows ? (*rows)[static_cast<size_t>(i)] : i;
+    const size_t first = colind.size();
+    for (index_t ka = A.row_begin(r); ka < A.row_end(r); ++ka) {
       const index_t j = A.col(ka);
-      const Scalar aij = A.val(ka);
       for (index_t kb = B.row_begin(j); kb < B.row_end(j); ++kb) {
         const index_t c = B.col(kb);
         if (marker[c] != i) {
           marker[c] = i;
-          accum[c] = aij * B.val(kb);
-          row_cols.push_back(c);
-        } else {
-          accum[c] += aij * B.val(kb);
+          colind.push_back(c);
         }
-        flops += 2.0;
       }
     }
-    std::sort(row_cols.begin(), row_cols.end());
-    for (index_t c : row_cols) {
-      colind.push_back(c);
-      values.push_back(accum[c]);
-    }
+    std::sort(colind.begin() + static_cast<std::ptrdiff_t>(first),
+              colind.end());
     rowptr[i + 1] = static_cast<index_t>(colind.size());
   }
   if (prof) {
-    prof->flops += flops;
-    prof->bytes += A.storage_bytes() + B.storage_bytes() +
-                   static_cast<double>(colind.size()) *
-                       (sizeof(index_t) + sizeof(Scalar));
-    prof->launches += 2;  // symbolic + numeric passes on a GPU implementation
-    prof->critical_path += 2;
-    prof->work_items += 2.0 * static_cast<double>(m);
+    prof->launches += 1;
+    prof->critical_path += 1;
+    prof->work_items += static_cast<double>(m);
   }
+  std::vector<Scalar> values(colind.size());
   return CsrMatrix<Scalar>(m, n, std::move(rowptr), std::move(colind),
                            std::move(values));
+}
+
+/// Numeric pass of C = A(rows, :) * B into C, the spgemm_symbolic result
+/// for the same operand patterns and `rows`: only C's values are written.
+/// Each row first sets its pattern's accumulator slots to -0.0, then adds
+/// every product a_rj * b_jc in A's and B's entry order, then gathers the
+/// row by position.  -0.0 is the IEEE additive identity (-0.0 + x == x
+/// for every x, including -0.0 and +0.0), so each entry is bitwise what a
+/// one-pass Gustavson loop stores when it ASSIGNS the first product and
+/// adds the rest in the same order.
+///
+/// The profile charges the flops and all operand and product traffic, so
+/// symbolic + numeric charge exactly what one fused pass would.
+template <class Scalar>
+void spgemm_numeric(const CsrMatrix<Scalar>& A, const CsrMatrix<Scalar>& B,
+                    CsrMatrix<Scalar>& C, const IndexVector* rows = nullptr,
+                    OpProfile* prof = nullptr) {
+  const index_t m = C.num_rows();
+  FROSCH_CHECK(A.num_cols() == B.num_rows() && C.num_cols() == B.num_cols() &&
+                   m == (rows ? static_cast<index_t>(rows->size())
+                              : A.num_rows()),
+               "spgemm_numeric: operand/product mismatch");
+  std::vector<Scalar> acc(static_cast<size_t>(B.num_cols()));
+  auto& vals = C.values();
+  count_t mults = 0, a_entries = 0;
+  for (index_t i = 0; i < m; ++i) {
+    const index_t r = rows ? (*rows)[static_cast<size_t>(i)] : i;
+    for (index_t k = C.row_begin(i); k < C.row_end(i); ++k)
+      acc[C.col(k)] = Scalar(-0.0);
+    for (index_t ka = A.row_begin(r); ka < A.row_end(r); ++ka) {
+      const index_t j = A.col(ka);
+      const Scalar aij = A.val(ka);
+      mults += B.row_nnz(j);
+      for (index_t kb = B.row_begin(j); kb < B.row_end(j); ++kb)
+        acc[B.col(kb)] += aij * B.val(kb);
+    }
+    a_entries += A.row_nnz(r);
+    for (index_t k = C.row_begin(i); k < C.row_end(i); ++k)
+      vals[static_cast<size_t>(k)] = acc[C.col(k)];
+  }
+  if (prof) {
+    // The rows of A read: the whole matrix, or the selected rows only.
+    const double a_bytes =
+        rows ? static_cast<double>(m + 1) * sizeof(index_t) +
+                   static_cast<double>(a_entries) *
+                       (sizeof(index_t) + sizeof(Scalar))
+             : A.storage_bytes();
+    prof->flops += 2.0 * static_cast<double>(mults);
+    prof->bytes += a_bytes + B.storage_bytes() +
+                   static_cast<double>(C.num_entries()) *
+                       (sizeof(index_t) + sizeof(Scalar));
+    prof->launches += 1;
+    prof->critical_path += 1;
+    prof->work_items += static_cast<double>(m);
+  }
+}
+
+/// C = A * B: the symbolic pass followed by the numeric pass.  Two
+/// launches, as a GPU implementation runs them.
+template <class Scalar>
+CsrMatrix<Scalar> spgemm(const CsrMatrix<Scalar>& A, const CsrMatrix<Scalar>& B,
+                         OpProfile* prof = nullptr) {
+  CsrMatrix<Scalar> C = spgemm_symbolic(A, B, nullptr, prof);
+  spgemm_numeric(A, B, C, nullptr, prof);
+  return C;
 }
 
 /// Symmetric permutation B = A(p, p), where p maps NEW index -> OLD index
@@ -213,26 +277,6 @@ void refresh_submatrix_values(const CsrMatrix<Scalar>& A,
                "refresh_submatrix_values: entry map/submatrix mismatch");
   auto& vals = sub.values();
   for (size_t q = 0; q < entry_map.size(); ++q) vals[q] = A.val(entry_map[q]);
-}
-
-/// Row restriction A(rows, :) keeping all columns.
-template <class Scalar>
-CsrMatrix<Scalar> extract_rows(const CsrMatrix<Scalar>& A,
-                               const IndexVector& rows) {
-  std::vector<index_t> rowptr(rows.size() + 1, 0);
-  std::vector<index_t> colind;
-  std::vector<Scalar> values;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const index_t r = rows[i];
-    for (index_t k = A.row_begin(r); k < A.row_end(r); ++k) {
-      colind.push_back(A.col(k));
-      values.push_back(A.val(k));
-    }
-    rowptr[i + 1] = static_cast<index_t>(colind.size());
-  }
-  return CsrMatrix<Scalar>(static_cast<index_t>(rows.size()), A.num_cols(),
-                           std::move(rowptr), std::move(colind),
-                           std::move(values));
 }
 
 /// Frobenius-norm of A*x - b residual helper used across tests.

@@ -70,12 +70,15 @@ void spmv(const CsrMatrix<Scalar>& A, const std::vector<Scalar>& x,
 /// and the SERIAL path walks the same chunks in the same order, so the
 /// result is bitwise identical at EVERY thread count -- required for
 /// thread-count-independent Krylov iteration counts (the coarse restriction
-/// Phi^T x runs through this kernel every Schwarz apply).
+/// Phi^T x runs through this kernel every Schwarz apply).  `scratch`
+/// (optional) is a caller-owned, grow-only home for the chunk buffers, so
+/// repeated calls allocate nothing.
 template <class Scalar>
 void spmv_transpose(const CsrMatrix<Scalar>& A, const std::vector<Scalar>& x,
                     std::vector<Scalar>& y, Scalar alpha = Scalar(1),
                     Scalar beta = Scalar(0), OpProfile* prof = nullptr,
-                    const exec::ExecPolicy& policy = {}) {
+                    const exec::ExecPolicy& policy = {},
+                    std::vector<Scalar>* scratch = nullptr) {
   FROSCH_CHECK(static_cast<index_t>(x.size()) == A.num_rows(),
                "spmv_transpose: x size mismatch");
   const index_t nr = A.num_rows();
@@ -100,12 +103,17 @@ void spmv_transpose(const CsrMatrix<Scalar>& A, const std::vector<Scalar>& x,
       }
     }
   } else {
-    std::vector<std::vector<Scalar>> buf(static_cast<size_t>(nc));
+    // Chunk c's column buffer is [c * ncols, (c + 1) * ncols) of one array.
+    const size_t stride = static_cast<size_t>(ncols);
+    std::vector<Scalar> local;
+    std::vector<Scalar>& buf = scratch ? *scratch : local;
+    if (buf.size() < static_cast<size_t>(nc) * stride)
+      buf.resize(static_cast<size_t>(nc) * stride);
     exec::parallel_for(
         policy, nc,
         [&](index_t c) {
-          auto& yc = buf[c];
-          yc.assign(static_cast<size_t>(ncols), Scalar(0));
+          Scalar* yc = buf.data() + static_cast<size_t>(c) * stride;
+          std::fill_n(yc, stride, Scalar(0));
           const auto [b, e] = exec::chunk_range(nr, nc, c);
           for (index_t i = b; i < e; ++i) {
             const Scalar xi = alpha * x[static_cast<size_t>(i)];
@@ -117,7 +125,8 @@ void spmv_transpose(const CsrMatrix<Scalar>& A, const std::vector<Scalar>& x,
         /*grain=*/1);
     exec::parallel_for(policy, ncols, [&](index_t j) {
       Scalar s = y[static_cast<size_t>(j)];
-      for (index_t c = 0; c < nc; ++c) s += buf[c][static_cast<size_t>(j)];
+      for (index_t c = 0; c < nc; ++c)
+        s += buf[static_cast<size_t>(c) * stride + static_cast<size_t>(j)];
       y[static_cast<size_t>(j)] = s;
     });
   }

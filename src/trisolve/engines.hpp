@@ -405,6 +405,10 @@ class JacobiSweepsEngine final : public TriangularEngine<Scalar> {
 
   void setup(const Factorization<Scalar>& f, OpProfile* prof) override {
     fact_ = &f;
+    // The diagonals, read once per numeric factorization (a numeric refresh
+    // reruns setup, so they follow the new values).
+    read_diag(f.L, f.unit_diag_L, ldiag_);
+    read_diag(f.U, /*unit_diag=*/false, udiag_);
     if (prof) {
       // No scheduling needed at all: this is the point of the iterative
       // variant -- setup is a single streaming pass.
@@ -418,40 +422,47 @@ class JacobiSweepsEngine final : public TriangularEngine<Scalar> {
   void solve(const std::vector<Scalar>& b, std::vector<Scalar>& x,
              OpProfile* prof) const override {
     detail::touch_factor(policy_, fact_);
-    std::vector<Scalar> pb;
-    fact_->apply_row_perm(b, pb);
-    std::vector<Scalar> y(pb.size());
-    sweep_solve(fact_->L, fact_->unit_diag_L, /*lower=*/true, pb, y, prof);
-    x.resize(pb.size());
-    sweep_solve(fact_->U, /*unit_diag=*/false, /*lower=*/false, y, x, prof);
+    fact_->apply_row_perm(b, pb_);
+    sweep_solve(fact_->L, ldiag_, pb_, y_, prof);
+    sweep_solve(fact_->U, udiag_, y_, x, prof);
   }
 
   TrisolveKind kind() const override { return TrisolveKind::JacobiSweeps; }
 
  private:
-  void sweep_solve(const la::CsrMatrix<Scalar>& T, bool unit_diag, bool lower,
-                   const std::vector<Scalar>& b, std::vector<Scalar>& x,
-                   OpProfile* prof) const {
-    (void)lower;
+  static void read_diag(const la::CsrMatrix<Scalar>& T, bool unit_diag,
+                        std::vector<Scalar>& diag) {
     const index_t n = T.num_rows();
-    std::vector<Scalar> diag(static_cast<size_t>(n), Scalar(1));
+    diag.assign(static_cast<size_t>(n), Scalar(1));
     if (!unit_diag)
       for (index_t i = 0; i < n; ++i) diag[i] = T.at(i, i);
-    // x^0 = D^{-1} b.
+  }
+
+  /// The sweeps ping-pong between x and the member iterate xn_; the last
+  /// iterate is copied into x if it landed in xn_.
+  void sweep_solve(const la::CsrMatrix<Scalar>& T,
+                   const std::vector<Scalar>& diag,
+                   const std::vector<Scalar>& b, std::vector<Scalar>& x,
+                   OpProfile* prof) const {
+    const index_t n = T.num_rows();
     x.resize(static_cast<size_t>(n));
-    exec::parallel_for(policy_, n, [&](index_t i) { x[i] = b[i] / diag[i]; });
-    std::vector<Scalar> xn(static_cast<size_t>(n));
+    if (xn_.size() < static_cast<size_t>(n)) xn_.resize(static_cast<size_t>(n));
+    Scalar* cur = x.data();
+    Scalar* nxt = xn_.data();
+    // x^0 = D^{-1} b.
+    exec::parallel_for(policy_, n, [&](index_t i) { cur[i] = b[i] / diag[i]; });
     for (int s = 0; s < sweeps_; ++s) {
       exec::parallel_for(policy_, n, [&](index_t i) {
         Scalar sum = b[i];
         for (index_t k = T.row_begin(i); k < T.row_end(i); ++k) {
           const index_t j = T.col(k);
-          if (j != i) sum -= T.val(k) * x[j];
+          if (j != i) sum -= T.val(k) * cur[j];
         }
-        xn[i] = sum / diag[i];
+        nxt[i] = sum / diag[i];
       });
-      std::swap(x, xn);
+      std::swap(cur, nxt);
     }
+    if (cur != x.data()) std::copy_n(cur, n, x.data());
     device::launches(policy_, static_cast<count_t>(sweeps_));
     if (prof) {
       prof->flops += 2.0 * static_cast<double>(T.num_entries()) * sweeps_;
@@ -465,6 +476,10 @@ class JacobiSweepsEngine final : public TriangularEngine<Scalar> {
   const Factorization<Scalar>* fact_ = nullptr;
   exec::ExecPolicy policy_;
   int sweeps_;
+  std::vector<Scalar> ldiag_, udiag_;  ///< cached at setup
+  // Grow-only solve scratch: the permuted rhs, the L-sweep result, and the
+  // second Jacobi iterate.
+  mutable std::vector<Scalar> pb_, y_, xn_;
 };
 
 }  // namespace frosch::trisolve

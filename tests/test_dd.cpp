@@ -687,5 +687,105 @@ TEST(BlockApply, LocalSolverBlockSolveMatchesSolve) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// The cached Galerkin product (DESIGN.md section 9): a refresh whose coarse
+// basis keeps its pattern reruns only the numeric passes of A0 = Phi^T (A
+// Phi) on the cached structures; one whose basis pattern moved reruns the
+// symbolic passes.  Either way Phi and A0 are bitwise a cold setup's.
+
+template <class Scalar>
+void expect_same_csr(const la::CsrMatrix<Scalar>& X,
+                     const la::CsrMatrix<Scalar>& Y, const char* what) {
+  ASSERT_EQ(X.rowptr(), Y.rowptr()) << what;
+  ASSERT_EQ(X.colind(), Y.colind()) << what;
+  EXPECT_EQ(std::memcmp(X.values().data(), Y.values().data(),
+                        X.values().size() * sizeof(Scalar)),
+            0)
+      << what;
+}
+
+double rap_launches(const SchwarzPreconditioner<double>& prec) {
+  return prec.profiles().numeric_breakdown.at("coarse-rap-spgemm").launches;
+}
+
+/// Phi and A0 of a cold setup on `A` are bitwise those of `warm`.
+void expect_cold_coarse(const SchwarzPreconditioner<double>& warm,
+                        const la::CsrMatrix<double>& A, const MeshProblem& p,
+                        const Decomposition& d, const SchwarzConfig& cfg) {
+  SchwarzPreconditioner<double> cold(cfg, d);
+  cold.symbolic_setup(A);
+  cold.numeric_setup(A, p.Z);
+  expect_same_csr(warm.coarse_basis(), cold.coarse_basis(), "Phi");
+  expect_same_csr(warm.coarse_matrix(), cold.coarse_matrix(), "A0");
+}
+
+TEST(GalerkinCache, RefreshRunsNumericPassesOnCachedStructure) {
+  auto p = laplace_problem(8, 2, 2, 2);
+  auto d = build_decomposition(p.A, p.owner, p.num_parts, 1);
+  SchwarzConfig cfg;
+  comm::SimComm comm(8);
+  cfg.comm = &comm;
+  SchwarzPreconditioner<double> warm(cfg, d);
+  warm.symbolic_setup(p.A);
+  warm.numeric_setup(p.A, p.Z);
+  const double cold_launches = rap_launches(warm);
+  EXPECT_EQ(cold_launches, 6);  // two symbolic+numeric products, transpose
+
+  auto A2 = p.A;
+  for (index_t i = 0; i < A2.num_rows(); ++i)
+    for (index_t k = A2.row_begin(i); k < A2.row_end(i); ++k)
+      A2.val(k) *= (1.0 + 0.25 * (i % 3)) * (1.0 + 0.25 * (A2.col(k) % 3));
+  const index_t* a0_cols = warm.coarse_matrix().colind().data();
+  ASSERT_TRUE(warm.numeric_refresh(A2, p.Z));
+  // Two numeric passes and the Phi^T value refill; A0 kept its storage.
+  EXPECT_EQ(rap_launches(warm) - cold_launches, 3);
+  EXPECT_EQ(warm.coarse_matrix().colind().data(), a0_cols);
+  expect_cold_coarse(warm, A2, p, d, cfg);
+}
+
+TEST(GalerkinCache, PhiPatternChangeRerunsSymbolicPasses) {
+  // Zeroing the VALUES coupling part 0's interior to the interface (the
+  // pattern stays) makes its extension right-hand sides zero, so Phi drops
+  // every entry on that interior: the basis pattern moves with the values.
+  auto p = laplace_problem(8, 2, 2, 2);
+  auto d = build_decomposition(p.A, p.owner, p.num_parts, 1);
+  const auto ip = build_interface(p.A, d);
+  std::vector<char> interior0(static_cast<size_t>(p.A.num_rows()), 0);
+  std::vector<char> on_iface(static_cast<size_t>(p.A.num_rows()), 0);
+  for (index_t i : ip.interior_dofs)
+    if (d.owner[i] == 0) interior0[i] = 1;
+  for (index_t i : ip.interface_dofs) on_iface[i] = 1;
+  auto A3 = p.A;
+  index_t zeroed = 0;
+  for (index_t i = 0; i < A3.num_rows(); ++i)
+    for (index_t k = A3.row_begin(i); k < A3.row_end(i); ++k) {
+      const index_t j = A3.col(k);
+      if ((interior0[i] && on_iface[j]) || (on_iface[i] && interior0[j])) {
+        A3.val(k) = 0.0;
+        ++zeroed;
+      }
+    }
+  ASSERT_GT(zeroed, 0);
+
+  SchwarzConfig cfg;
+  comm::SimComm comm(8);
+  cfg.comm = &comm;
+  SchwarzPreconditioner<double> warm(cfg, d);
+  warm.symbolic_setup(p.A);
+  warm.numeric_setup(p.A, p.Z);
+  const auto phi_before = warm.coarse_basis();
+  const double cold_launches = rap_launches(warm);
+  ASSERT_TRUE(warm.numeric_refresh(A3, p.Z));
+  EXPECT_LT(warm.coarse_basis().num_entries(), phi_before.num_entries());
+  EXPECT_EQ(rap_launches(warm) - cold_launches, 6);
+  expect_cold_coarse(warm, A3, p, d, cfg);
+
+  // Back to the original values: the pattern moves again, and the result is
+  // once more a cold setup's.
+  ASSERT_TRUE(warm.numeric_refresh(p.A, p.Z));
+  expect_same_csr(warm.coarse_basis(), phi_before, "Phi");
+  expect_cold_coarse(warm, p.A, p, d, cfg);
+}
+
 }  // namespace
 }  // namespace frosch::dd

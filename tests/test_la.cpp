@@ -144,6 +144,147 @@ TEST(Ops, SpgemmGalerkinTripleProductSymmetry) {
       EXPECT_NEAR(A0.at(i, j), A0.at(j, i), 1e-12);
 }
 
+/// The one-pass Gustavson SpGEMM that the symbolic/numeric split replaced,
+/// kept verbatim as the bitwise reference: the first product of each entry
+/// is ASSIGNED, the rest are added in A's then B's entry order.
+template <class Scalar>
+CsrMatrix<Scalar> one_pass_spgemm(const CsrMatrix<Scalar>& A,
+                                  const CsrMatrix<Scalar>& B) {
+  const index_t m = A.num_rows(), n = B.num_cols();
+  std::vector<index_t> rowptr(static_cast<size_t>(m) + 1, 0);
+  std::vector<index_t> colind;
+  std::vector<Scalar> values;
+  std::vector<Scalar> accum(static_cast<size_t>(n), Scalar(0));
+  std::vector<index_t> marker(static_cast<size_t>(n), -1);
+  std::vector<index_t> row_cols;
+  for (index_t i = 0; i < m; ++i) {
+    row_cols.clear();
+    for (index_t ka = A.row_begin(i); ka < A.row_end(i); ++ka) {
+      const index_t j = A.col(ka);
+      const Scalar aij = A.val(ka);
+      for (index_t kb = B.row_begin(j); kb < B.row_end(j); ++kb) {
+        const index_t c = B.col(kb);
+        if (marker[c] != i) {
+          marker[c] = i;
+          accum[c] = aij * B.val(kb);
+          row_cols.push_back(c);
+        } else {
+          accum[c] += aij * B.val(kb);
+        }
+      }
+    }
+    std::sort(row_cols.begin(), row_cols.end());
+    for (index_t c : row_cols) {
+      colind.push_back(c);
+      values.push_back(accum[c]);
+    }
+    rowptr[i + 1] = static_cast<index_t>(colind.size());
+  }
+  return CsrMatrix<Scalar>(m, n, std::move(rowptr), std::move(colind),
+                           std::move(values));
+}
+
+template <class Scalar>
+void expect_bitwise_equal(const CsrMatrix<Scalar>& X,
+                          const CsrMatrix<Scalar>& Y) {
+  ASSERT_EQ(X.num_rows(), Y.num_rows());
+  ASSERT_EQ(X.num_cols(), Y.num_cols());
+  ASSERT_EQ(X.rowptr(), Y.rowptr());
+  ASSERT_EQ(X.colind(), Y.colind());
+  EXPECT_EQ(std::memcmp(X.values().data(), Y.values().data(),
+                        X.values().size() * sizeof(Scalar)),
+            0);
+}
+
+TEST(Ops, SplitSpgemmMatchesOnePassBitwiseOnSignedZeros) {
+  // 4x3 * 3x5 with an empty row, products that are -0.0 (alone, or summed
+  // with +0.0), and a sum that cancels to +0.0.
+  const double nz = -0.0;
+  const CsrMatrix<double> A(4, 3, {0, 2, 2, 4, 6}, {0, 2, 0, 1, 1, 2},
+                            {nz, 1.0, 1.0, 1.0, 2.0, -1.0});
+  const CsrMatrix<double> B(3, 5, {0, 2, 5, 7}, {0, 4, 0, 3, 4, 1, 4},
+                            {3.0, 5.0, -3.0, 0.5, nz, 2.0, 0.0});
+  const auto ref = one_pass_spgemm(A, B);
+  const auto C = spgemm(A, B);
+  expect_bitwise_equal(C, ref);
+  // The fixture really exercises the signs: (0,0) is a lone -0.0 product,
+  // (3,4) sums two -0.0 products, (0,4) is -0.0 + +0.0 = +0.0, and (2,0)
+  // cancels to +0.0.
+  EXPECT_TRUE(std::signbit(ref.at(0, 0)));
+  EXPECT_TRUE(std::signbit(ref.at(3, 4)));
+  EXPECT_FALSE(std::signbit(ref.at(0, 4)));
+  EXPECT_GE(ref.find(2, 0), 0);
+  EXPECT_FALSE(std::signbit(ref.at(2, 0)));
+  EXPECT_EQ(ref.row_nnz(1), 0);
+}
+
+TEST(Ops, SplitSpgemmMatchesOnePassBitwiseOnRandomOperands) {
+  for (unsigned seed = 1; seed <= 4; ++seed) {
+    const auto A = random_sparse(40, 25, 0.15, seed);
+    const auto B = random_sparse(25, 31, 0.2, seed + 10);
+    expect_bitwise_equal(spgemm(A, B), one_pass_spgemm(A, B));
+    const auto Af = A.convert<float>(), Bf = B.convert<float>();
+    expect_bitwise_equal(spgemm(Af, Bf), one_pass_spgemm(Af, Bf));
+  }
+}
+
+TEST(Ops, SpgemmRowSubsetMatchesProductOfExtractedRows) {
+  // C = A(rows, :) * B, rows in any order, is the one-pass product of the
+  // extracted rows; the numeric pass reruns on the cached structure for new
+  // values of the same patterns.  E's subset includes two empty rows.
+  const auto A = random_sparse(30, 20, 0.2, 7);
+  auto B = random_sparse(20, 12, 0.25, 8);
+  const IndexVector rows{17, 3, 29, 0, 11};
+  IndexVector all_cols(20);
+  for (index_t j = 0; j < 20; ++j) all_cols[j] = j;
+  const auto A_rows = extract_submatrix(A, rows, all_cols);
+  auto C = spgemm_symbolic(A, B, &rows);
+  spgemm_numeric(A, B, C, &rows);
+  expect_bitwise_equal(C, one_pass_spgemm(A_rows, B));
+  for (auto& v : B.values()) v = -1.5 * v + 0.25;
+  const index_t* cols = C.colind().data();
+  spgemm_numeric(A, B, C, &rows);
+  EXPECT_EQ(C.colind().data(), cols);
+  expect_bitwise_equal(C, one_pass_spgemm(A_rows, B));
+
+  const CsrMatrix<double> E(3, 20, {0, 0, 2, 2}, {4, 9}, {1.0, -2.0});
+  const IndexVector empty_first{0, 1, 2};
+  auto D = spgemm_symbolic(E, B, &empty_first);
+  spgemm_numeric(E, B, D, &empty_first);
+  expect_bitwise_equal(D, one_pass_spgemm(E, B));
+}
+
+TEST(Ops, SplitSpgemmChargesTheOnePassProfile) {
+  // symbolic + numeric charge two launches and the one-pass flops/bytes; a
+  // numeric rerun on the cached structure charges one launch.
+  const auto A = random_sparse(30, 20, 0.2, 3);
+  const auto B = random_sparse(20, 12, 0.25, 4);
+  OpProfile both;
+  const auto C = spgemm(A, B, &both);
+  count_t mults = 0;
+  for (count_t k = 0; k < A.num_entries(); ++k)
+    mults += B.row_nnz(A.col(static_cast<index_t>(k)));
+  EXPECT_EQ(both.flops, 2.0 * static_cast<double>(mults));
+  EXPECT_EQ(both.bytes, A.storage_bytes() + B.storage_bytes() +
+                            static_cast<double>(C.num_entries()) *
+                                (sizeof(index_t) + sizeof(double)));
+  EXPECT_EQ(both.launches, 2);
+  OpProfile again;
+  auto C2 = C;
+  spgemm_numeric(A, B, C2, nullptr, &again);
+  EXPECT_EQ(again.launches, 1);
+  EXPECT_EQ(again.flops, both.flops);
+}
+
+TEST(Ops, TransposeEntryMapRefillsValues) {
+  auto A = random_sparse(9, 6, 0.4, 12);
+  IndexVector map;
+  auto At = transpose(A, nullptr, &map);
+  for (auto& v : A.values()) v *= -3.0;
+  refresh_submatrix_values(A, map, At);
+  expect_bitwise_equal(At, transpose(A));
+}
+
 TEST(Ops, PermuteSymmetricPreservesValues) {
   auto A = tridiag(6);
   IndexVector perm{5, 3, 1, 0, 2, 4};  // new -> old
@@ -162,17 +303,6 @@ TEST(Ops, ExtractSubmatrixSelectsBlock) {
   for (size_t i = 0; i < rows.size(); ++i)
     for (size_t j = 0; j < cols.size(); ++j)
       EXPECT_DOUBLE_EQ(S.at(index_t(i), index_t(j)), A.at(rows[i], cols[j]));
-}
-
-TEST(Ops, ExtractRowsKeepsColumns) {
-  auto A = tridiag(8);
-  IndexVector rows{0, 7};
-  auto S = extract_rows(A, rows);
-  EXPECT_EQ(S.num_rows(), 2);
-  EXPECT_EQ(S.num_cols(), 8);
-  EXPECT_DOUBLE_EQ(S.at(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ(S.at(1, 7), 2.0);
-  EXPECT_DOUBLE_EQ(S.at(1, 6), -1.0);
 }
 
 TEST(VectorOps, AxpyDotNorm) {

@@ -1021,6 +1021,41 @@ TEST(RefreshSuite, ConcurrentRefreshRanks4Threads2) {
   check_refresh_bitwise(test::laplace_problem(8, 2, 2, 1), cfg);
 }
 
+TEST(RefreshSuite, ChainedRefreshesMatchColdSetup) {
+  // setup(A) -> refresh(A2) -> refresh(A3): the second refresh runs on the
+  // Galerkin and extension structures the cold setup cached and the first
+  // refresh kept, and must still solve bitwise like a cold setup on A3.
+  // 4 virtual ranks on 2 pool threads, the TSan CI configuration.
+  auto p = test::laplace_problem(8, 2, 2, 1);
+  SolverConfig cfg;
+  cfg.ranks = 4;
+  cfg.threads = 2;
+  const auto A2 = diag_rescaled(p.A);
+  auto A3 = diag_rescaled(A2);
+  for (auto& v : A3.values()) v *= 3.0;
+  std::vector<double> b(static_cast<size_t>(p.A.num_rows()), 1.0);
+
+  Solver cold(cfg);
+  cold.setup(A3, p.Z, p.owner, p.num_parts);
+  std::vector<double> xc;
+  const auto repc = cold.solve(b, xc);
+  ASSERT_TRUE(repc.converged);
+
+  Solver warm(cfg);
+  warm.setup(p.A, p.Z, p.owner, p.num_parts);
+  warm.refresh(A2);
+  std::vector<double> x2;
+  ASSERT_TRUE(warm.solve(b, x2).converged);
+  warm.refresh(A3);
+  std::vector<double> x3;
+  const auto rep3 = warm.solve(b, x3);
+  ASSERT_TRUE(rep3.converged);
+  EXPECT_TRUE(rep3.setup_reused);
+  EXPECT_EQ(rep3.iterations, repc.iterations);
+  ASSERT_EQ(x3.size(), xc.size());
+  EXPECT_EQ(std::memcmp(x3.data(), xc.data(), x3.size() * sizeof(double)), 0);
+}
+
 TEST(RefreshSuite, RefreshMovesNoPatternOrHaloBytes) {
   // The ledger gate (also enforced by bench_sequence): a refresh re-stages
   // factor and coarse-operator values but never Matrix-pattern or
