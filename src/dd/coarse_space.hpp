@@ -15,6 +15,7 @@
 #include "dd/interface.hpp"
 #include "dd/local_solver.hpp"
 #include "la/ops.hpp"
+#include "trisolve/substitution.hpp"
 
 namespace frosch::dd {
 
@@ -167,21 +168,52 @@ namespace detail {
 
 /// The per-part extension solves shared by the cold and refresh paths of
 /// extend_basis: finds the coarse columns active on this interior, solves
-/// each against -W(I, c), and collects the nonzero Phi entries.  `Wt` is
-/// W's transpose, so row c lists column c's (W row, value) pairs; this
-/// interior owns W's rows [w0, w0 + |I|), one per dof of `I`.  Identical
-/// inputs produce identical entries, which is what extends the bitwise
-/// refresh contract through the coarse basis.
+/// them against -W(I, c) in interleaved blocks of up to kRowTile columns
+/// (one block sweep each, charged as such), and collects the nonzero Phi
+/// entries column by column.  `Wt` is W's transpose, so row c lists column
+/// c's (W row, value) pairs; this interior owns W's rows [w0, w0 + |I|),
+/// one per dof of `I`.  The blocks are built and read in the solver's
+/// fill-reducing ordering, so the solver needs no block workspace of its
+/// own.  Every column of a block solve is bitwise its solo solve, and
+/// identical inputs produce identical entries, which is what extends the
+/// bitwise refresh contract through the coarse basis.
 template <class Scalar, class Entry>
 void extension_solve_columns(const la::CsrMatrix<Scalar>& Wt, index_t w0,
                              const IndexVector& I, index_t nc,
                              const LocalSolver<Scalar>& solver,
                              std::vector<Entry>& entries, OpProfile* pprof) {
   const index_t w1 = w0 + static_cast<index_t>(I.size());
+  const size_t ni = I.size();
   const auto cols = Wt.colind().begin();
-  std::vector<Scalar> rhs(I.size(), Scalar(0)), x;
-  OpProfile batched;  // all RHS solved as one batched multi-vector solve
-  index_t n_active = 0;
+  // pos[q]: the ordered row of interior dof q.
+  const IndexVector& perm = solver.ordering();
+  IndexVector pos(ni);
+  for (size_t i = 0; i < ni; ++i)
+    pos[perm.empty() ? i : static_cast<size_t>(perm[i])] =
+        static_cast<index_t>(i);
+  constexpr index_t kTile = trisolve::kRowTile;
+  std::vector<Scalar> B, X;  // sized by the first, widest block
+  // The block's coarse columns, ascending, with their Wt entry ranges.
+  index_t tile_c[kTile], tile_kb[kTile], tile_ke[kTile];
+  index_t tw = 0;
+  auto solve_tile = [&] {
+    const size_t ws = static_cast<size_t>(tw);
+    if (B.size() < ni * ws) {
+      B.resize(ni * ws);
+      X.resize(ni * ws);
+    }
+    std::fill(B.begin(), B.begin() + ni * ws, Scalar(0));
+    for (index_t j = 0; j < tw; ++j)
+      for (index_t k = tile_kb[j]; k < tile_ke[j]; ++k)
+        B[static_cast<size_t>(pos[Wt.col(k) - w0]) * ws + j] = -Wt.val(k);
+    solver.solve_ordered(B.data(), X.data(), tw, pprof);
+    for (index_t j = 0; j < tw; ++j)
+      for (size_t q = 0; q < ni; ++q) {
+        const Scalar x = X[static_cast<size_t>(pos[q]) * ws + j];
+        if (x != Scalar(0)) entries.push_back({I[q], tile_c[j], x});
+      }
+    tw = 0;
+  };
   for (index_t c = 0; c < nc; ++c) {
     // Column c's entries on this interior: a sorted sub-range of Wt's row.
     const auto kb = std::lower_bound(cols + Wt.row_begin(c),
@@ -189,23 +221,12 @@ void extension_solve_columns(const la::CsrMatrix<Scalar>& Wt, index_t w0,
     const auto ke =
         std::lower_bound(cols + kb, cols + Wt.row_end(c), w1) - cols;
     if (kb == ke) continue;
-    ++n_active;
-    for (auto k = kb; k < ke; ++k) rhs[Wt.col(k) - w0] = -Wt.val(k);
-    solver.solve(rhs, x, &batched);
-    for (auto k = kb; k < ke; ++k) rhs[Wt.col(k) - w0] = Scalar(0);
-    for (size_t q = 0; q < I.size(); ++q) {
-      if (x[q] != Scalar(0)) entries.push_back({I[q], c, x[q]});
-    }
+    tile_c[tw] = c;
+    tile_kb[tw] = static_cast<index_t>(kb);
+    tile_ke[tw] = static_cast<index_t>(ke);
+    if (++tw == kTile) solve_tile();
   }
-  if (pprof && n_active > 0) {
-    // A production implementation solves all extension right-hand
-    // sides in ONE batched multi-vector triangular solve: same
-    // flops/traffic, but the launch count and critical path are those
-    // of a single solve with n_active-fold wider work items.
-    batched.launches /= n_active;
-    batched.critical_path /= n_active;
-    *pprof += batched;
-  }
+  if (tw > 0) solve_tile();
 }
 
 }  // namespace detail

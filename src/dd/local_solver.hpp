@@ -216,10 +216,9 @@ class LocalSolver {
   /// bitwise the single-vector solve of column c.
   void solve(const Scalar* B, Scalar* X, index_t w,
              OpProfile* prof = nullptr) const {
-    FROSCH_CHECK(numeric_done_, "LocalSolver: numeric() first");
     const index_t n = Aord_.num_rows();
     if (perm_.empty()) {
-      engine_->solve_block(n, w, B, X, prof);
+      solve_ordered(B, X, w, prof);
       return;
     }
     const size_t ws = static_cast<size_t>(w);
@@ -234,12 +233,24 @@ class LocalSolver {
       Scalar* dst = bp_.data() + static_cast<size_t>(i) * ws;
       for (size_t c = 0; c < ws; ++c) dst[c] = src[c];
     }
-    engine_->solve_block(n, w, bp_.data(), xp_.data(), prof);
+    solve_ordered(bp_.data(), xp_.data(), w, prof);
     for (index_t i = 0; i < n; ++i) {
       const Scalar* src = xp_.data() + static_cast<size_t>(i) * ws;
       Scalar* dst = X + static_cast<size_t>(perm_[i]) * ws;
       for (size_t c = 0; c < ws; ++c) dst[c] = src[c];
     }
+  }
+
+  /// The fill-reducing ordering, new -> old (empty: the identity): ordered
+  /// row i is row ordering()[i] of the matrix the solver factored.
+  const IndexVector& ordering() const { return perm_; }
+
+  /// solve(B, X, w) on a block whose rows are already in ordering(): the
+  /// engine's block sweep alone, without the permuted workspace copies.
+  void solve_ordered(const Scalar* B, Scalar* X, index_t w,
+                     OpProfile* prof = nullptr) const {
+    FROSCH_CHECK(numeric_done_, "LocalSolver: numeric() first");
+    engine_->solve_block(Aord_.num_rows(), w, B, X, prof);
   }
 
   count_t factor_nnz() const {

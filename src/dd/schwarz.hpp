@@ -278,12 +278,7 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
       phi_ = extend_basis(A, decomp_, iface_, phi_gamma_, cfg_.extension,
                           ext_cache_, /*refresh=*/false, &csp, cfg_.exec,
                           &part_rank_);
-      bk["coarse-basis-extension"] += csp.extension_solves;
-      bk["coarse-basis-extension"] += csp.extension_rhs;
-      for (index_t p = 0; p < decomp_.num_parts; ++p) {
-        prof_.ranks[part_rank_[p]].numeric += csp.per_part_extension[p];
-        prof_.rank_extension[part_rank_[p]] += csp.per_part_extension[p];
-      }
+      charge_extension(csp, bk);
 
       OpProfile rap;
       galerkin_product(A, /*reuse=*/false, &rap);
@@ -377,12 +372,7 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
           extend_basis(A, decomp_, iface_, phi_gamma_, cfg_.extension,
                        ext_cache_, /*refresh=*/true, &csp, cfg_.exec,
                        &part_rank_);
-      bk["coarse-basis-extension"] += csp.extension_solves;
-      bk["coarse-basis-extension"] += csp.extension_rhs;
-      for (index_t p = 0; p < decomp_.num_parts; ++p) {
-        prof_.ranks[part_rank_[p]].numeric += csp.per_part_extension[p];
-        prof_.rank_extension[part_rank_[p]] += csp.per_part_extension[p];
-      }
+      charge_extension(csp, bk);
 
       // Phi drops exact numeric zeros, so its pattern can move with the
       // values; the cached Galerkin structures are keyed on it.
@@ -589,6 +579,30 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
     }
     la::spgemm_numeric(A, phi_, aphi_, nullptr, rap);
     la::spgemm_numeric(phit_, aphi_, A0_, nullptr, rap);
+  }
+
+  /// Charges an extend_basis profile to the coarse-basis-extension bar
+  /// and the rank profiles the model reads: each part's solves to its
+  /// rank, and the W = A Phi_Gamma SpGEMM in even shares to every rank
+  /// (each forms its own interior rows of W; launches and critical path
+  /// are per-rank quantities).
+  void charge_extension(const CoarseSpaceProfile& csp,
+                        std::map<std::string, OpProfile>& bk) {
+    bk["coarse-basis-extension"] += csp.extension_solves;
+    bk["coarse-basis-extension"] += csp.extension_rhs;
+    for (index_t p = 0; p < decomp_.num_parts; ++p) {
+      prof_.ranks[part_rank_[p]].numeric += csp.per_part_extension[p];
+      prof_.rank_extension[part_rank_[p]] += csp.per_part_extension[p];
+    }
+    OpProfile share = csp.extension_rhs;
+    const double r = static_cast<double>(prof_.ranks.size());
+    share.flops /= r;
+    share.bytes /= r;
+    share.work_items /= r;
+    for (size_t q = 0; q < prof_.ranks.size(); ++q) {
+      prof_.ranks[q].numeric += share;
+      prof_.rank_extension[q] += share;
+    }
   }
 
   void numeric_local_setup(std::map<std::string, OpProfile>& bk) {

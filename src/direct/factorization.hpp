@@ -33,6 +33,11 @@ struct Factorization {
   /// [sn_ptr[s], sn_ptr[s+1]).  Always at least the trivial partition.
   IndexVector sn_ptr;
 
+  /// A Cholesky factor: U == transpose(L) entrywise, no pivoting, and
+  /// sn_ptr holds U's fundamental supernodes, so U's CSR values pack each
+  /// supernode's dense panel column by column (trisolve/panel.hpp).
+  bool cholesky = false;
+
   index_t n() const { return L.num_rows(); }
   count_t factor_nnz() const { return L.num_entries() + U.num_entries(); }
 

@@ -56,6 +56,7 @@ class MultifrontalCholesky {
     fact_.unit_diag_L = false;
     fact_.row_perm_old2new.clear();
     fact_.sn_ptr = detect_supernodes(fact_.U);
+    fact_.cholesky = true;
 
     // Assembly tree: a supernode's parent holds the etree parent of its
     // last column.

@@ -16,7 +16,12 @@
 //
 // All engines except JacobiSweeps are numerically equivalent (Section VIII-A
 // states the same); they differ only in their operation profiles, which is
-// what the Summit machine model prices.
+// what the Summit machine model prices.  On a Cholesky factor (every
+// MultifrontalCholesky factor) the substitution, level-set and supernodal
+// engines execute the same dense-panel supernodal sweep (panel.hpp) for a
+// single vector swept serially, and only their modeled schedules differ;
+// blocks of several vectors, threaded sweeps, ILU and pivoted LU factors
+// run the CSR row kernel on each engine's own schedule.
 #pragma once
 
 #include <array>
@@ -87,19 +92,23 @@ class TriangularEngine {
   /// entries and does not alias B.  Column c of X is bitwise what solve()
   /// returns for column c of B.  The exact engines override this with one
   /// sweep that reads each factor row once for all columns (their solve()
-  /// is its width-1 call); this default solves column by column.
+  /// is its width-1 call); this default solves column by column through
+  /// grow-only column buffers.
   virtual void solve_block(index_t n, index_t w, const Scalar* B, Scalar* X,
                            OpProfile* prof) const {
     const size_t rows = static_cast<size_t>(n), ws = static_cast<size_t>(w);
-    std::vector<Scalar> b(rows), x;
+    col_b_.resize(rows);
     for (size_t c = 0; c < ws; ++c) {
-      for (size_t i = 0; i < rows; ++i) b[i] = B[i * ws + c];
-      solve(b, x, prof);
-      for (size_t i = 0; i < rows; ++i) X[i * ws + c] = x[i];
+      for (size_t i = 0; i < rows; ++i) col_b_[i] = B[i * ws + c];
+      solve(col_b_, col_x_, prof);
+      for (size_t i = 0; i < rows; ++i) X[i * ws + c] = col_x_[i];
     }
   }
 
   virtual TrisolveKind kind() const = 0;
+
+ private:
+  mutable std::vector<Scalar> col_b_, col_x_;  ///< solve_block's columns
 };
 
 /// Factory covering every TrisolveKind.

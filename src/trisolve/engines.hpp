@@ -1,17 +1,24 @@
 // Concrete TriangularEngine implementations.  See engine.hpp for the
 // algorithm catalogue and attribution.
 //
-// Since the exec-layer refactor the level-set engines EXECUTE their modeled
-// schedule: rows (or supernodes) within a dependency level run concurrently
-// through exec::parallel_for, levels remain a sequential chain -- one
-// parallel region per recorded launch.  All exact engines stay bitwise
-// identical to the serial substitution baseline at every thread count (the
-// per-row accumulation order is unchanged); see DESIGN.md section 6.
+// The three sweep engines (substitution, level set, supernodal) run one of
+// two sweeps.  A width-1 column tile of a Cholesky factor swept serially
+// (one thread, or nested inside the subdomain-parallel apply) goes through
+// the dense-panel sweep (trisolve/panel.hpp), the same for all three; every
+// other tile -- wider tiles, threaded sweeps, ILU and pivoted LU factors --
+// runs the CSR row kernel solve_row<W> on the engine's own schedule:
+// substitution order, or rows (supernodes) within a dependency level
+// concurrently through exec::parallel_for, levels a sequential chain.
+// Either way they keep their modeled OpProfile, which prices the schedule
+// they stand for.  All of them stay bitwise identical to the serial CSR
+// substitution sweep at every thread count (each row's accumulation order
+// is unchanged); see DESIGN.md section 6.
 #pragma once
 
 #include "device/arena.hpp"
 #include "la/spmv.hpp"
 #include "trisolve/engine.hpp"
+#include "trisolve/panel.hpp"
 #include "trisolve/substitution.hpp"
 
 namespace frosch::trisolve {
@@ -31,7 +38,7 @@ inline void touch_factor(const exec::ExecPolicy& pol,
                   device::Xfer::Factor);
 }
 
-/// Base of the exact engines: their single-vector solve is the width-1 call
+/// Base of the sweep engines: their single-vector solve is the width-1 call
 /// of their block solve, so one sweep body serves both.
 template <class Scalar>
 class BlockSweepEngine : public TriangularEngine<Scalar> {
@@ -42,6 +49,30 @@ class BlockSweepEngine : public TriangularEngine<Scalar> {
     this->solve_block(static_cast<index_t>(b.size()), 1, b.data(), x.data(),
                       prof);
   }
+
+ protected:
+  /// Sweeps each column tile of the w-wide block X in place: a width-1
+  /// tile of a Cholesky factor (as bound by setup) through the panel sweep
+  /// when the sweep runs serially under `policy`, any other through
+  /// csr(W, x) -- the engine's CSR schedule on the tile at x.  Returns the
+  /// tile count.
+  template <class CsrSweep>
+  index_t sweep_tiles(index_t w, Scalar* X, const exec::ExecPolicy& policy,
+                      CsrSweep&& csr) const {
+    const bool panel = panel_.active() && (!policy.parallel() ||
+                                           exec::ThreadPool::inside_worker());
+    return for_column_tiles(w, [&](auto W, index_t c0) {
+      if constexpr (decltype(W)::value == 1) {
+        if (panel) {
+          panel_.solve(X + c0, w);
+          return;
+        }
+      }
+      csr(W, X + c0);
+    });
+  }
+
+  PanelSweep<Scalar> panel_;
 };
 
 }  // namespace detail
@@ -56,6 +87,7 @@ class SubstitutionEngine final : public detail::BlockSweepEngine<Scalar> {
 
   void setup(const Factorization<Scalar>& f, OpProfile* prof) override {
     fact_ = &f;
+    this->panel_.setup(f);
     if (prof) {
       prof->bytes += f.L.storage_bytes() + f.U.storage_bytes();
       prof->launches += 1;
@@ -68,13 +100,14 @@ class SubstitutionEngine final : public detail::BlockSweepEngine<Scalar> {
                    OpProfile* prof) const override {
     detail::touch_factor(policy_, fact_);
     fact_->apply_row_perm(B, X, n, w);
-    const index_t tiles = for_column_tiles(w, [&](auto W, index_t c0) {
-      constexpr index_t kW = decltype(W)::value;
-      substitution_sweep<kW>(fact_->L, fact_->unit_diag_L, /*forward=*/true,
-                             X + c0, w);
-      substitution_sweep<kW>(fact_->U, /*unit_diag=*/false,
-                             /*forward=*/false, X + c0, w);
-    });
+    const index_t tiles = this->sweep_tiles(
+        w, X, exec::ExecPolicy::serial(), [&](auto W, Scalar* x) {
+          constexpr index_t kW = decltype(W)::value;
+          substitution_sweep<kW>(fact_->L, fact_->unit_diag_L,
+                                 /*forward=*/true, x, w);
+          substitution_sweep<kW>(fact_->U, /*unit_diag=*/false,
+                                 /*forward=*/false, x, w);
+        });
     device::launches(policy_, 2 * tiles);
     if (prof) {
       prof->flops += 2.0 * static_cast<double>(fact_->factor_nnz()) * w;
@@ -103,6 +136,7 @@ class LevelSetEngine final : public detail::BlockSweepEngine<Scalar> {
 
   void setup(const Factorization<Scalar>& f, OpProfile* prof) override {
     fact_ = &f;
+    this->panel_.setup(f);
     llevel_ = lower_levels(f.L, &lower_nlevels_);
     ulevel_ = upper_levels(f.U, &upper_nlevels_);
     build_level_schedule(llevel_, lower_nlevels_, lorder_, lptr_);
@@ -120,13 +154,14 @@ class LevelSetEngine final : public detail::BlockSweepEngine<Scalar> {
                    OpProfile* prof) const override {
     detail::touch_factor(policy_, fact_);
     fact_->apply_row_perm(B, X, n, w);
-    const index_t tiles = for_column_tiles(w, [&](auto W, index_t c0) {
-      constexpr index_t kW = decltype(W)::value;
-      level_scheduled_solve<kW>(fact_->L, fact_->unit_diag_L, lorder_, lptr_,
-                                X + c0, w, policy_);
-      level_scheduled_solve<kW>(fact_->U, /*unit_diag=*/false, uorder_, uptr_,
-                                X + c0, w, policy_);
-    });
+    const index_t tiles =
+        this->sweep_tiles(w, X, policy_, [&](auto W, Scalar* x) {
+          constexpr index_t kW = decltype(W)::value;
+          level_scheduled_solve<kW>(fact_->L, fact_->unit_diag_L, lorder_,
+                                    lptr_, x, w, policy_);
+          level_scheduled_solve<kW>(fact_->U, /*unit_diag=*/false, uorder_,
+                                    uptr_, x, w, policy_);
+        });
     device::launches(policy_, static_cast<count_t>(tiles) *
                                   (lower_nlevels_ + upper_nlevels_));
     record_levelset_sweep(fact_->L, lower_nlevels_, w, prof);
@@ -150,9 +185,9 @@ class LevelSetEngine final : public detail::BlockSweepEngine<Scalar> {
 /// level sets over supernodal column blocks instead of single rows.  Fewer,
 /// fatter levels => fewer kernel launches and team-parallel dense work per
 /// block, which is why the paper pairs it with SuperLU factors on GPUs.
-/// Executed here as one parallel region per block level with supernodes as
-/// tasks; the rows of a supernode are processed sequentially inside the
-/// task (same-block dependencies), in factor order -- bitwise identical to
+/// Its CSR sweep runs one parallel region per block level with supernodes
+/// as tasks, the rows of a supernode sequentially inside the task
+/// (same-block dependencies), in factor order -- bitwise identical to
 /// serial substitution.
 template <class Scalar>
 class SupernodalEngine final : public detail::BlockSweepEngine<Scalar> {
@@ -162,6 +197,7 @@ class SupernodalEngine final : public detail::BlockSweepEngine<Scalar> {
 
   void setup(const Factorization<Scalar>& f, OpProfile* prof) override {
     fact_ = &f;
+    this->panel_.setup(f);
     // Supernode of each column.
     const index_t nsn = static_cast<index_t>(f.sn_ptr.size()) - 1;
     IndexVector sn_of(static_cast<size_t>(f.n()));
@@ -193,13 +229,14 @@ class SupernodalEngine final : public detail::BlockSweepEngine<Scalar> {
                    OpProfile* prof) const override {
     detail::touch_factor(policy_, fact_);
     fact_->apply_row_perm(B, X, n, w);
-    const index_t tiles = for_column_tiles(w, [&](auto W, index_t c0) {
-      constexpr index_t kW = decltype(W)::value;
-      block_sweep<kW>(fact_->L, fact_->unit_diag_L, /*forward=*/true,
-                      lsn_order_, lsn_ptr_, X + c0, w);
-      block_sweep<kW>(fact_->U, /*unit_diag=*/false, /*forward=*/false,
-                      usn_order_, usn_ptr_, X + c0, w);
-    });
+    const index_t tiles =
+        this->sweep_tiles(w, X, policy_, [&](auto W, Scalar* x) {
+          constexpr index_t kW = decltype(W)::value;
+          block_sweep<kW>(fact_->L, fact_->unit_diag_L, /*forward=*/true,
+                          lsn_order_, lsn_ptr_, x, w);
+          block_sweep<kW>(fact_->U, /*unit_diag=*/false, /*forward=*/false,
+                          usn_order_, usn_ptr_, x, w);
+        });
     const count_t levels =
         static_cast<count_t>(tiles) * (lower_nlevels_ + upper_nlevels_);
     device::launches(policy_, levels);
@@ -318,20 +355,23 @@ class PartitionedInverseEngine final : public TriangularEngine<Scalar> {
   void solve(const std::vector<Scalar>& b, std::vector<Scalar>& x,
              OpProfile* prof) const override {
     fact_->apply_row_perm(b, x);
-    std::vector<Scalar> tmp(x.size());
     const index_t n = static_cast<index_t>(x.size());
-    // y = Lhat^{-1} (P b); x = D_L^{-1} y.
-    for (const auto& P : lower_factors_) {
-      la::spmv(P, x.data(), tmp.data(), Scalar(1), Scalar(0), prof, policy_);
-      std::swap(tmp, x);
-    }
-    exec::parallel_for(policy_, n, [&](index_t i) { x[i] /= ldiag_[i]; });
-    // Same for U.
-    for (const auto& P : upper_factors_) {
-      la::spmv(P, x.data(), tmp.data(), Scalar(1), Scalar(0), prof, policy_);
-      std::swap(tmp, x);
-    }
-    exec::parallel_for(policy_, n, [&](index_t i) { x[i] /= udiag_[i]; });
+    if (tmp_.size() < x.size()) tmp_.resize(x.size());
+    // The SpMVs ping-pong between x and tmp_; the last product is copied
+    // into x if it landed in tmp_.
+    Scalar* cur = x.data();
+    Scalar* nxt = tmp_.data();
+    auto apply = [&](const std::vector<la::CsrMatrix<Scalar>>& factors,
+                     const std::vector<Scalar>& diag) {
+      for (const auto& P : factors) {
+        la::spmv(P, cur, nxt, Scalar(1), Scalar(0), prof, policy_);
+        std::swap(cur, nxt);
+      }
+      exec::parallel_for(policy_, n, [&](index_t i) { cur[i] /= diag[i]; });
+    };
+    apply(lower_factors_, ldiag_);  // y = Lhat^{-1} (P b); x = D_L^{-1} y
+    apply(upper_factors_, udiag_);  // same for U
+    if (cur != x.data()) std::copy_n(cur, n, x.data());
     device::launches(policy_, 2);
     if (prof) {
       prof->flops += 2.0 * static_cast<double>(x.size());
@@ -387,6 +427,7 @@ class PartitionedInverseEngine final : public TriangularEngine<Scalar> {
   exec::ExecPolicy policy_;
   std::vector<la::CsrMatrix<Scalar>> lower_factors_, upper_factors_;
   std::vector<Scalar> ldiag_, udiag_;
+  mutable std::vector<Scalar> tmp_;  ///< grow-only second SpMV operand
 };
 
 /// Iterative Jacobi-sweep triangular solve (FastSpTRSV) [Chow & Patel 2015,

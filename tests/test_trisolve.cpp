@@ -3,10 +3,13 @@
 // operation-profile contracts the perf model relies on.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
 
+#include "common/half.hpp"
 #include "direct/gp_lu.hpp"
 #include "direct/multifrontal.hpp"
+#include "fem/assembly.hpp"
 #include "graph/nested_dissection.hpp"
 #include "la/ops.hpp"
 #include "support/matrices.hpp"
@@ -306,6 +309,120 @@ INSTANTIATE_TEST_SUITE_P(AllExactKindsThreaded, ParallelEngines,
                          ::testing::Values(TrisolveKind::LevelSet,
                                            TrisolveKind::SupernodalLevelSet,
                                            TrisolveKind::PartitionedInverse));
+
+// ---- dense-panel sweep on Cholesky factors ----------------------------
+
+/// The factors the panel sweep must reproduce bit for bit.
+struct PanelCase {
+  const char* name;
+  la::CsrMatrix<double> A;  ///< SPD, already in factor order
+};
+
+la::CsrMatrix<double> nd_ordered(const la::CsrMatrix<double>& A) {
+  return la::permute_symmetric(
+      A, graph::nested_dissection(graph::build_graph(A)));
+}
+
+std::vector<PanelCase> panel_cases() {
+  std::vector<PanelCase> cases;
+  {
+    const fem::BrickMesh mesh(8, 8, 8);
+    cases.push_back(
+        {"laplace3d-nd",
+         nd_ordered(fem::apply_dirichlet(fem::assemble_laplace(mesh),
+                                         mesh.x0_face_nodes())
+                        .A)});
+  }
+  {
+    const fem::BrickMesh mesh(4, 3, 3);
+    cases.push_back(
+        {"elasticity-nd",
+         nd_ordered(fem::apply_dirichlet(fem::assemble_elasticity(mesh),
+                                         fem::clamped_x0_dofs(mesh))
+                        .A)});
+  }
+  cases.push_back({"tridiagonal-natural", test::tridiag(40)});
+  cases.push_back({"one-row", test::tridiag(1)});
+  return cases;
+}
+
+TEST(PanelSweep, CholeskyFactorsAreFlaggedOthersAreNot) {
+  auto A = laplace2d(6, 6);
+  direct::MultifrontalCholesky<double> chol;
+  chol.symbolic(A);
+  chol.numeric(A);
+  EXPECT_TRUE(chol.factorization().cholesky);
+  direct::GilbertPeierlsLu<double> lu;
+  lu.symbolic(A);
+  lu.numeric(A);
+  EXPECT_FALSE(lu.factorization().cholesky);
+}
+
+/// Every sweep engine on every block width, serial and threaded, must be
+/// memcmp-equal column by column to the CSR row kernel's L-then-U
+/// substitution -- the arithmetic the engines ran before the panel sweep.
+template <class Scalar>
+void expect_sweeps_match_csr_substitution() {
+  for (const PanelCase& pc : panel_cases()) {
+    const la::CsrMatrix<Scalar> A = pc.A.template convert<Scalar>();
+    direct::MultifrontalCholesky<Scalar> chol;
+    chol.symbolic(A);
+    chol.numeric(A);
+    const auto& f = chol.factorization();
+    const index_t n = f.n();
+    const size_t rows = static_cast<size_t>(n);
+    for (const index_t w : {1, 3, 8, 9, 17}) {
+      const size_t ws = static_cast<size_t>(w);
+      std::vector<Scalar> B(rows * ws);
+      for (index_t c = 0; c < w; ++c) {
+        const auto col = random_vector(n, 100 + static_cast<unsigned>(c));
+        for (size_t i = 0; i < rows; ++i)
+          B[i * ws + c] = static_cast<Scalar>(col[i]);
+      }
+      std::vector<std::vector<Scalar>> ref(ws, std::vector<Scalar>(rows));
+      for (size_t c = 0; c < ws; ++c) {
+        for (size_t i = 0; i < rows; ++i) ref[c][i] = B[i * ws + c];
+        substitution_sweep<1>(f.L, f.unit_diag_L, /*forward=*/true,
+                              ref[c].data(), 1);
+        substitution_sweep<1>(f.U, /*unit_diag=*/false, /*forward=*/false,
+                              ref[c].data(), 1);
+      }
+      for (const int threads : {1, 4}) {
+        for (const auto kind :
+             {TrisolveKind::Substitution, TrisolveKind::LevelSet,
+              TrisolveKind::SupernodalLevelSet}) {
+          TrisolveOptions opts;
+          opts.exec = exec::ExecPolicy::with_threads(threads);
+          auto engine = make_trisolve<Scalar>(kind, opts);
+          engine->setup(f, nullptr);
+          std::vector<Scalar> X(rows * ws, Scalar(-1));
+          engine->solve_block(n, w, B.data(), X.data(), nullptr);
+          for (size_t c = 0; c < ws; ++c) {
+            std::vector<Scalar> col(rows);
+            for (size_t i = 0; i < rows; ++i) col[i] = X[i * ws + c];
+            EXPECT_EQ(std::memcmp(col.data(), ref[c].data(),
+                                  rows * sizeof(Scalar)),
+                      0)
+                << pc.name << " " << to_string(kind) << " w=" << w
+                << " threads=" << threads << " column " << c;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PanelSweep, SweepEnginesMatchCsrSubstitutionBitwise) {
+  expect_sweeps_match_csr_substitution<double>();
+}
+
+TEST(PanelSweep, SweepEnginesMatchCsrSubstitutionBitwiseFloat) {
+  expect_sweeps_match_csr_substitution<float>();
+}
+
+TEST(PanelSweep, SweepEnginesMatchCsrSubstitutionBitwiseHalf) {
+  expect_sweeps_match_csr_substitution<half>();
+}
 
 }  // namespace
 }  // namespace frosch::trisolve
