@@ -2,33 +2,31 @@
 // (DESIGN.md section 10).
 //
 // SchwarzPreconditioner owns WHERE the coarse problem appears in the
-// additive method (gather the rhs, solve, replicate the correction); the
-// hierarchy owns HOW it is solved: on which process subset, and whether
-// directly or recursively through another Schwarz level.  This header is
-// the dd-side half of that boundary -- an abstract CoarseLevelSolver the
-// preconditioner delegates to, plus the hierarchy configuration it is
-// built from -- so dd never depends on the concrete mlevel subsystem
-// (which sits ABOVE dd in the layer DAG and includes schwarz.hpp to build
-// its recursive levels).
+// additive method (gather the rhs, solve, replicate the correction); a
+// CoarseLevelSolver owns HOW it is solved: on which process subset, and
+// whether directly or recursively through another Schwarz level.  This
+// header is the dd-side half of that boundary -- the abstract
+// CoarseLevelSolver the preconditioner delegates to, the hierarchy
+// configuration, and the one direct solve -- so dd never depends on the
+// concrete mlevel subsystem (which sits ABOVE dd in the layer DAG and
+// includes schwarz.hpp to build its recursive levels).
 //
-// When no CoarseLevelSolver is installed, SchwarzPreconditioner runs its
-// historical inline path: factor the gathered coarse matrix with one
-// LocalSolver and solve it on the root.  The mlevel::CoarseHierarchy's
-// default configuration (levels=2, coarse_ranks=root) replicates that
-// path operation for operation, which is what keeps the facade's default
-// behavior bitwise identical to the pre-hierarchy code.
+// DirectCoarseSolver is the only direct coarse solve: SchwarzPreconditioner
+// installs it when no solver is set, and mlevel::CoarseHierarchy's
+// terminal level delegates to it.  The facade's default hierarchy
+// (levels=2, coarse_ranks=root) and a bare SchwarzPreconditioner therefore
+// run the same object with the same call sequence.
 #pragma once
 
 #include <array>
+#include <memory>
 #include <vector>
 
+#include "comm/comm.hpp"
 #include "common/enum_parse.hpp"
 #include "common/op_profile.hpp"
+#include "dd/local_solver.hpp"
 #include "la/csr.hpp"
-
-namespace frosch::comm {
-class Communicator;
-}
 
 namespace frosch::dd {
 
@@ -74,13 +72,12 @@ struct CoarseLevelReport {
 };
 
 /// Abstract coarse-level solver the SchwarzPreconditioner delegates to
-/// when one is installed (set_coarse_solver).  The preconditioner hands
-/// over the ASSEMBLED coarse matrix and its communicator; the
-/// implementation owns subset scoping, factorization, and recursion.
-/// Every prof out-parameter is mandatory and accumulates exactly the
-/// compute the historical inline path would have recorded, so the
-/// breakdown attribution ("coarse-factorization", coarse PhaseProfile)
-/// is unchanged by the delegation.
+/// (DirectCoarseSolver unless set_coarse_solver installs another).  The
+/// preconditioner hands over the ASSEMBLED coarse matrix and its
+/// communicator; the implementation owns subset scoping, factorization,
+/// and recursion.  Every prof out-parameter is mandatory and accumulates
+/// the coarse compute the preconditioner files under
+/// "coarse-factorization" and its coarse PhaseProfile.
 template <class Scalar>
 class CoarseLevelSolver {
  public:
@@ -107,6 +104,119 @@ class CoarseLevelSolver {
   /// Snapshot of the per-level dimensions, subset sizes, and compute
   /// shares accumulated so far (fine level excluded; index 0 is level 2).
   virtual std::vector<CoarseLevelReport> level_reports() const = 0;
+};
+
+/// The direct coarse solve: the gathered A0 factored by one LocalSolver
+/// (SchwarzConfig::coarse) and held by the process subset
+/// coarse_members(P, ranks).  The solve computes the exact coarse
+/// correction whatever the subset; the subset only scopes the accounting:
+/// the factor/trisolve compute is reported as S per-rank shares, and the
+/// subset-internal redistribution is recorded on a comm::SubComm, which the
+/// Summit model prices over log2(S).  At S = 1 (coarse_ranks=root) no
+/// sub-communicator exists and nothing beyond the LocalSolver calls is
+/// recorded.
+template <class Scalar>
+class DirectCoarseSolver final : public CoarseLevelSolver<Scalar> {
+ public:
+  /// `level`: the level number level_reports() gives (2 = first coarse).
+  DirectCoarseSolver(const LocalSolverConfig& cfg, CoarseRanks ranks,
+                     index_t level = 2)
+      : cfg_(cfg), ranks_(ranks), level_(level) {}
+
+  void numeric_setup(const la::CsrMatrix<Scalar>& A0,
+                     comm::Communicator& comm, OpProfile* prof) override {
+    const std::vector<int> members = coarse_members(comm.size(), ranks_);
+    subset_ = static_cast<int>(members.size());
+    sub_.reset();
+    if (subset_ > 1) sub_ = comm.split(members);
+    dim_ = A0.num_rows();
+    pattern_rowptr_ = A0.rowptr();
+    pattern_colind_ = A0.colind();
+    solver_ = std::make_unique<LocalSolver<Scalar>>(cfg_);
+    numeric_prof_ = OpProfile{};
+    solve_prof_ = OpProfile{};
+    charged(prof, numeric_prof_, [&] {
+      solver_->symbolic(A0, prof);
+      solver_->numeric(A0, prof, prof);
+    });
+    // Subset redistribution of the factored operator: each member ends up
+    // holding its 1/S slice.
+    if (sub_) sub_->gather(A0.storage_bytes() / subset_);
+  }
+
+  void numeric_refresh(const la::CsrMatrix<Scalar>& A0,
+                       comm::Communicator& comm, OpProfile* prof) override {
+    if (A0.rowptr() != pattern_rowptr_ || A0.colind() != pattern_colind_) {
+      // Coarse pattern changed (a value-dependent basis column appeared or
+      // vanished): the cached symbolic layers are stale, so the solver
+      // rebuilds cold -- which still satisfies the refresh contract,
+      // because a rebuild IS the cold setup.
+      numeric_setup(A0, comm, prof);
+      return;
+    }
+    charged(prof, numeric_prof_,
+            [&] { solver_->numeric_refresh(A0, prof, prof); });
+    // The subset already holds the pattern; only the values move.
+    if (sub_)
+      sub_->gather(static_cast<double>(A0.num_entries()) * sizeof(Scalar) /
+                   subset_);
+  }
+
+  void solve(const std::vector<Scalar>& r0, std::vector<Scalar>& z0,
+             OpProfile* prof) const override {
+    charged(prof, solve_prof_, [&] { solver_->solve(r0, z0, prof); });
+    // Distributed triangular solves: the subset exchanges the coarse
+    // vector slices once per solve.
+    if (sub_)
+      sub_->broadcast(static_cast<double>(dim_) * sizeof(Scalar) / subset_);
+  }
+
+  /// One direct level (parts = 0).  Its factor/trisolve compute is split
+  /// into S equal per-rank shares: flops, traffic and work items divide;
+  /// launch counts and critical path are per-rank quantities -- the same
+  /// convention as the model's split_across_ranks.
+  std::vector<CoarseLevelReport> level_reports() const override {
+    CoarseLevelReport rep;
+    rep.level = level_;
+    rep.dim = dim_;
+    rep.subset_size = subset_;
+    rep.rank_numeric = shares(numeric_prof_);
+    rep.rank_solve = shares(solve_prof_);
+    return {rep};
+  }
+
+ private:
+  /// Runs `op`, which accumulates into *prof, and adds what it added to
+  /// `into`.
+  template <class Op>
+  static void charged(OpProfile* prof, OpProfile& into, Op&& op) {
+    const OpProfile before = *prof;
+    op();
+    OpProfile delta = *prof;
+    delta -= before;
+    into += delta;
+  }
+
+  std::vector<OpProfile> shares(const OpProfile& total) const {
+    OpProfile share;
+    share.flops = total.flops / subset_;
+    share.bytes = total.bytes / subset_;
+    share.work_items = total.work_items / subset_;
+    share.launches = total.launches;
+    share.critical_path = total.critical_path;
+    return std::vector<OpProfile>(static_cast<size_t>(subset_), share);
+  }
+
+  LocalSolverConfig cfg_;
+  CoarseRanks ranks_;
+  index_t level_;
+  int subset_ = 1;
+  index_t dim_ = 0;
+  std::vector<index_t> pattern_rowptr_, pattern_colind_;  ///< refresh guard
+  std::unique_ptr<comm::Communicator> sub_;  ///< null when S = 1
+  std::unique_ptr<LocalSolver<Scalar>> solver_;
+  OpProfile numeric_prof_;        ///< setup compute since the last rebuild
+  mutable OpProfile solve_prof_;  ///< accumulated solves
 };
 
 }  // namespace frosch::dd

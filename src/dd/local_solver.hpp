@@ -97,8 +97,6 @@ class LocalSolver {
     engine_ = trisolve::make_trisolve<Scalar>(cfg.trisolve, topt);
   }
 
-  const LocalSolverConfig& config() const { return cfg_; }
-
   /// Pattern analysis: ordering + backend symbolic phase.  `prof` gets
   /// both, the ordering's graph build, dissection and permutation included.
   void symbolic(const la::CsrMatrix<Scalar>& A, OpProfile* prof = nullptr) {

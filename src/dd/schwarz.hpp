@@ -25,9 +25,9 @@
 //   * apply restriction: the off-rank overlap entries of x each rank
 //     imports (and the mirrored export of the additive combine), with the
 //     true scalar payload -- once per block of columns;
-//   * coarse problem: gathered to and replicated from the root through the
-//     comm layer's collectives (coarse matrix once per numeric setup,
-//     coarse rhs/solution once per block apply).
+//   * coarse problem: gathered to and replicated from the coarse subset
+//     through the comm layer's collectives (coarse matrix once per numeric
+//     setup, coarse rhs/solution once per block apply).
 //
 // Per-rank operation profiles are kept for every phase: the Summit machine
 // model replays them (plus the communicator's measured per-rank traffic) to
@@ -63,14 +63,14 @@ struct SchwarzConfig {
   /// under it execute their own kernels inline (nested regions serialize).
   exec::ExecPolicy exec;
 
-  /// Virtual-rank communicator (non-owning; the facade passes its own).
-  /// nullptr: the preconditioner creates the historical one-rank-per-
-  /// subdomain topology internally, so communication is still measured.
+  /// Virtual-rank communicator (non-owning, mandatory): every transfer is
+  /// measured through it.  The facade passes its own; direct users pass
+  /// e.g. comm::SimComm(decomp.num_parts, exec), one rank per subdomain.
   comm::Communicator* comm = nullptr;
 
-  /// How the coarse problem is solved when a CoarseLevelSolver is
-  /// installed (set_coarse_solver): process subset + recursion depth.
-  /// Ignored by the inline path; the default replicates it exactly.
+  /// How the coarse problem is solved: process subset + recursion depth.
+  /// The default DirectCoarseSolver honors coarse_ranks; the recursion
+  /// keys take effect through an installed mlevel::CoarseHierarchy.
   HierarchyConfig hierarchy;
 
   SchwarzConfig() {
@@ -116,7 +116,7 @@ struct SchwarzProfiles {
   double coarse_comm_bytes = 0.0;
 
   /// Per-level dimensions, subset sizes, and compute shares of the coarse
-  /// hierarchy (empty on the inline path and for one-level runs).
+  /// solver (empty for one-level runs).
   std::vector<CoarseLevelReport> coarse_levels;
 };
 
@@ -124,7 +124,15 @@ template <class Scalar>
 class SchwarzPreconditioner final : public Preconditioner<Scalar> {
  public:
   SchwarzPreconditioner(const SchwarzConfig& cfg, const Decomposition& decomp)
-      : cfg_(cfg), decomp_(decomp) {}
+      : cfg_(cfg),
+        decomp_(decomp),
+        comm_(cfg.comm),
+        coarse_(std::make_unique<DirectCoarseSolver<Scalar>>(
+            cfg.coarse, cfg.hierarchy.coarse_ranks)) {
+    FROSCH_CHECK(comm_ != nullptr,
+                 "SchwarzPreconditioner: SchwarzConfig::comm is null -- pass "
+                 "the communicator the preconditioner records through");
+  }
 
   index_t rows() const override { return n_; }
   index_t cols() const override { return n_; }
@@ -136,23 +144,13 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
   const la::CsrMatrix<Scalar>& coarse_basis() const { return phi_; }
   const la::CsrMatrix<Scalar>& coarse_matrix() const { return A0_; }
 
-  /// The communicator the preconditioner records through (set after
-  /// symbolic_setup): the facade's, or the internal per-subdomain one.
-  const comm::Communicator* communicator() const { return comm_; }
-  /// Owning virtual rank of each subdomain.
-  const IndexVector& part_ranks() const { return part_rank_; }
-
-  /// Installs the coarse-level solver the coarse problem is delegated to
+  /// Replaces the coarse-level solver the coarse problem is delegated to
   /// (the facade installs an mlevel::CoarseHierarchy built from
-  /// cfg.hierarchy).  Without one -- direct construction in tests, one-off
-  /// uses -- the historical inline gather-and-factor-on-root path runs;
-  /// the hierarchy's default configuration replicates that path exactly.
-  /// Must be called before numeric_setup.
+  /// cfg.hierarchy).  Without one the DirectCoarseSolver -- the
+  /// hierarchy's own terminal level -- runs.  Must be called before
+  /// numeric_setup.
   void set_coarse_solver(std::unique_ptr<CoarseLevelSolver<Scalar>> s) {
-    coarse_hook_ = std::move(s);
-  }
-  const CoarseLevelSolver<Scalar>* coarse_solver_hook() const {
-    return coarse_hook_.get();
+    coarse_ = std::move(s);
   }
 
   /// Phase (a): pattern-only analysis.
@@ -161,17 +159,8 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
     FROSCH_CHECK(static_cast<index_t>(decomp_.owner.size()) == n_,
                  "SchwarzPreconditioner: decomposition/matrix mismatch");
 
-    // Establish the virtual-rank topology and the subdomain -> rank block
-    // map (every rank gets a contiguous block of subdomains; 1:1 when the
-    // communicator has one rank per subdomain).
-    if (cfg_.comm) {
-      comm_ = cfg_.comm;
-      owned_comm_.reset();
-    } else {
-      owned_comm_ = std::make_unique<comm::SimComm>(
-          static_cast<int>(decomp_.num_parts), cfg_.exec);
-      comm_ = owned_comm_.get();
-    }
+    // The subdomain -> rank block map (every rank gets a contiguous block
+    // of subdomains; 1:1 when the communicator has one rank per subdomain).
     const size_t R = static_cast<size_t>(comm_->size());
     part_rank_.resize(static_cast<size_t>(decomp_.num_parts));
     for (index_t p = 0; p < decomp_.num_parts; ++p)
@@ -299,16 +288,10 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
                       device::Xfer::CoarseOp);
 
       OpProfile cfac;
-      if (coarse_hook_) {
-        coarse_hook_->numeric_setup(A0_, *comm_, &cfac);
-      } else {
-        coarse_solver_ = std::make_unique<LocalSolver<Scalar>>(cfg_.coarse);
-        coarse_solver_->symbolic(A0_, &cfac);
-        coarse_solver_->numeric(A0_, &cfac, &cfac);
-      }
+      coarse_->numeric_setup(A0_, *comm_, &cfac);
       bk["coarse-factorization"] += cfac;
       prof_.coarse.numeric += cfac;
-      if (coarse_hook_) prof_.coarse_levels = coarse_hook_->level_reports();
+      prof_.coarse_levels = coarse_->level_reports();
     }
 
     // (3) Local numeric factorizations + triangular-solve setup.
@@ -402,20 +385,12 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
                         phi_.storage_bytes());
       }
 
+      // The coarse solver checks A0's pattern itself.
       OpProfile cfac;
-      // An unchanged Phi pattern keeps A0's; the hook checks the coarse
-      // pattern itself.
-      if (coarse_hook_) {
-        coarse_hook_->numeric_refresh(A0_, *comm_, &cfac);
-      } else if (same_phi_pattern) {
-        coarse_solver_->numeric_refresh(A0_, &cfac, &cfac);
-      } else {
-        coarse_solver_->symbolic(A0_, &cfac);
-        coarse_solver_->numeric(A0_, &cfac, &cfac);
-      }
+      coarse_->numeric_refresh(A0_, *comm_, &cfac);
       bk["coarse-factorization"] += cfac;
       prof_.coarse.numeric += cfac;
-      if (coarse_hook_) prof_.coarse_levels = coarse_hook_->level_reports();
+      prof_.coarse_levels = coarse_->level_reports();
     }
 
     // (3) Local numeric refactorizations against the frozen symbolic
@@ -534,11 +509,7 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
       comm_->gather(payload);
       for (size_t c = 0; c < ws; ++c) {
         z0_[c].assign(n0, Scalar(0));
-        if (coarse_hook_) {
-          coarse_hook_->solve(r0_[c], z0_[c], &cp);
-        } else {
-          coarse_solver_->solve(r0_[c], z0_[c], &cp);
-        }
+        coarse_->solve(r0_[c], z0_[c], &cp);
       }
       comm_->broadcast(payload);
       prof_.coarse_comm_bytes += 2.0 * payload;
@@ -550,7 +521,7 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
       }
       prof_.coarse.solve += cp;
       if (prof) *prof += cp;
-      if (coarse_hook_) prof_.coarse_levels = coarse_hook_->level_reports();
+      prof_.coarse_levels = coarse_->level_reports();
     }
     prof_.apply_count += w;
   }
@@ -730,8 +701,7 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
   Decomposition decomp_;
   InterfacePartition iface_;
   index_t n_ = 0;
-  comm::Communicator* comm_ = nullptr;
-  std::unique_ptr<comm::Communicator> owned_comm_;
+  comm::Communicator* comm_;
   IndexVector part_rank_;
   std::vector<comm::Message> overlap_msgs_;       ///< numeric row import
   std::vector<IndexVector> overlap_import_rows_;  ///< dofs per overlap msg
@@ -740,8 +710,7 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
   std::vector<la::CsrMatrix<Scalar>> local_mats_;
   std::vector<IndexVector> extract_maps_;  ///< local entry -> A entry
   std::vector<std::unique_ptr<LocalSolver<Scalar>>> solvers_;
-  std::unique_ptr<LocalSolver<Scalar>> coarse_solver_;  ///< inline path
-  std::unique_ptr<CoarseLevelSolver<Scalar>> coarse_hook_;
+  std::unique_ptr<CoarseLevelSolver<Scalar>> coarse_;
   la::CsrMatrix<Scalar> phi_, A0_;
   la::CsrMatrix<Scalar> phi_gamma_;      ///< cached interface basis
   la::CsrMatrix<Scalar> aphi_, phit_;    ///< cached A Phi and Phi^T

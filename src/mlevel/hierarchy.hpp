@@ -4,14 +4,11 @@
 // Two orthogonal generalizations of the replicated-coarse baseline, both
 // attacks on the FROSch-on-Summit coarse-problem cliff:
 //
-//   * PROCESS SUBSET (`coarse_ranks`): the gathered coarse operator is
-//     held and factored by S = |coarse_members(P)| ranks instead of the
-//     root alone.  The direct solve still computes one exact coarse
-//     correction -- numerics are bitwise identical to the root baseline --
-//     but the factorization/trisolve compute is attributed as S per-rank
-//     shares and the subset-internal redistribution is recorded as
-//     subset-scoped collectives on a comm::SubComm, which the Summit model
-//     prices over log2(S), not log2(P).
+//   * PROCESS SUBSET (`coarse_ranks`): every level runs on the
+//     S = |coarse_members(P)| ranks of its subset instead of the root
+//     alone.  A direct level is dd::DirectCoarseSolver, which computes the
+//     exact coarse correction whatever S and attributes its compute as S
+//     per-rank shares (see dd/coarse_solver.hpp).
 //
 //   * RECURSION (`levels` > 2): the coarse matrix is re-partitioned
 //     (recursive bisection, a pure function of the coarse pattern and the
@@ -24,10 +21,10 @@
 //     approximate, so outer iteration counts may drift within the bound
 //     documented in DESIGN.md.
 //
-// The default configuration (levels=2, coarse_ranks=root) takes the
-// terminal branch with S=1: the exact LocalSolver call sequence of the
-// historical inline path, no sub-communicator, no extra collectives --
-// bitwise identical results AND profiles.
+// A terminal level holds a dd::DirectCoarseSolver and delegates to it, so
+// the default configuration (levels=2, coarse_ranks=root) IS the direct
+// solve a bare SchwarzPreconditioner installs: the same object, results and
+// profiles.
 #pragma once
 
 #include <algorithm>
@@ -53,110 +50,70 @@ class CoarseHierarchy final : public dd::CoarseLevelSolver<Scalar> {
                   index_t level = 2)
       : outer_(outer), parent_parts_(parent_parts), level_(level) {}
 
+  /// The coarse dimension is fixed across refreshes (the interface basis
+  /// is a cached base layer), so a refresh never flips a level between
+  /// terminal and recursive.
   void numeric_setup(const la::CsrMatrix<Scalar>& A0,
                      comm::Communicator& comm, OpProfile* prof) override {
-    members_ = dd::coarse_members(comm.size(), outer_.hierarchy.coarse_ranks);
-    subset_ = static_cast<int>(members_.size());
-    dim_ = A0.num_rows();
-    pattern_rowptr_ = A0.rowptr();
-    pattern_colind_ = A0.colind();
     if (recursive(A0)) {
+      direct_.reset();
       setup_recursive(A0, comm, prof);
     } else {
-      setup_terminal(A0, comm, prof);
+      schwarz0_.reset();
+      next_ = nullptr;
+      sub_.reset();
+      direct_ = std::make_unique<dd::DirectCoarseSolver<Scalar>>(
+          outer_.coarse, outer_.hierarchy.coarse_ranks, level_);
+      direct_->numeric_setup(A0, comm, prof);
     }
   }
 
   void numeric_refresh(const la::CsrMatrix<Scalar>& A0,
                        comm::Communicator& comm, OpProfile* prof) override {
+    if (direct_) {
+      direct_->numeric_refresh(A0, comm, prof);
+      return;
+    }
     if (A0.rowptr() != pattern_rowptr_ || A0.colind() != pattern_colind_) {
-      // Coarse pattern changed (a value-dependent basis column appeared or
-      // vanished): the cached symbolic layers of this level are stale, so
-      // the level rebuilds cold -- which still satisfies the refresh
-      // contract, because a rebuild IS the cold setup.
+      // Coarse pattern changed: the inner level's decomposition and
+      // symbolic layers are stale, so the level rebuilds cold -- which
+      // still satisfies the refresh contract.
       numeric_setup(A0, comm, prof);
       return;
     }
-    dim_ = A0.num_rows();
-    if (schwarz0_) {
-      const OpProfile before = inner_setup_total();
-      if (!schwarz0_->numeric_refresh(A0, Z0_))
-        schwarz0_->numeric_setup(A0, Z0_);
-      OpProfile delta = inner_setup_total();
-      delta -= before;
-      if (prof) *prof += delta;
-      numeric_prof_ += delta;
-    } else {
-      const OpProfile before = prof ? *prof : OpProfile{};
-      direct_->numeric_refresh(A0, prof, prof);
-      if (prof) {
-        OpProfile delta = *prof;
-        delta -= before;
-        numeric_prof_ += delta;
-      }
-      if (sub_)
-        sub_->gather(static_cast<double>(A0.num_entries()) * sizeof(Scalar) /
-                     subset_);
-    }
+    const OpProfile before = inner_setup_total();
+    if (!schwarz0_->numeric_refresh(A0, Z0_)) schwarz0_->numeric_setup(A0, Z0_);
+    OpProfile delta = inner_setup_total();
+    delta -= before;
+    if (prof) *prof += delta;
   }
 
   void solve(const std::vector<Scalar>& r0, std::vector<Scalar>& z0,
              OpProfile* prof) const override {
-    if (schwarz0_) {
-      const OpProfile before = prof ? *prof : OpProfile{};
-      schwarz0_->apply(r0, z0, prof);
-      if (prof) {
-        OpProfile delta = *prof;
-        delta -= before;
-        solve_prof_ += delta;
-      }
-    } else {
-      const OpProfile before = prof ? *prof : OpProfile{};
+    if (direct_)
       direct_->solve(r0, z0, prof);
-      if (prof) {
-        OpProfile delta = *prof;
-        delta -= before;
-        solve_prof_ += delta;
-      }
-      // Distributed triangular solves: the subset exchanges the coarse
-      // vector slices once per solve (nothing on the S=1 baseline).
-      if (sub_)
-        sub_->broadcast(static_cast<double>(dim_) * sizeof(Scalar) / subset_);
-    }
+    else
+      schwarz0_->apply(r0, z0, prof);
   }
 
   std::vector<dd::CoarseLevelReport> level_reports() const override {
-    std::vector<dd::CoarseLevelReport> out;
+    if (direct_) return direct_->level_reports();
     dd::CoarseLevelReport rep;
     rep.level = level_;
     rep.dim = dim_;
     rep.subset_size = subset_;
-    if (schwarz0_) {
-      rep.parts = parts_;
-      const auto& sp = schwarz0_->profiles();
-      rep.rank_numeric.resize(sp.ranks.size());
-      rep.rank_solve.resize(sp.ranks.size());
-      for (size_t r = 0; r < sp.ranks.size(); ++r) {
-        rep.rank_numeric[r] = sp.ranks[r].symbolic + sp.ranks[r].numeric;
-        rep.rank_solve[r] = sp.ranks[r].solve;
-      }
-      out.push_back(std::move(rep));
-      const auto nested = next_->level_reports();
-      out.insert(out.end(), nested.begin(), nested.end());
-    } else {
-      rep.parts = 0;  // direct terminal level
-      rep.rank_numeric = split_shares(numeric_prof_, subset_);
-      rep.rank_solve = split_shares(solve_prof_, subset_);
-      out.push_back(std::move(rep));
+    rep.parts = parts_;
+    const auto& sp = schwarz0_->profiles();
+    rep.rank_numeric.resize(sp.ranks.size());
+    rep.rank_solve.resize(sp.ranks.size());
+    for (size_t r = 0; r < sp.ranks.size(); ++r) {
+      rep.rank_numeric[r] = sp.ranks[r].symbolic + sp.ranks[r].numeric;
+      rep.rank_solve[r] = sp.ranks[r].solve;
     }
+    std::vector<dd::CoarseLevelReport> out{std::move(rep)};
+    const auto nested = next_->level_reports();
+    out.insert(out.end(), nested.begin(), nested.end());
     return out;
-  }
-
-  /// The subset communicator (null when the subset is the root alone and
-  /// the level is terminal -- the degenerate baseline records nothing).
-  const comm::Communicator* subset_comm() const { return sub_.get(); }
-  const dd::SchwarzPreconditioner<Scalar>* inner_schwarz() const {
-    return schwarz0_.get();
   }
 
  private:
@@ -178,36 +135,15 @@ class CoarseHierarchy final : public dd::CoarseLevelSolver<Scalar> {
     return std::max<index_t>(2, std::min(p, n0 / 2));
   }
 
-  void setup_terminal(const la::CsrMatrix<Scalar>& A0,
-                      comm::Communicator& comm, OpProfile* prof) {
-    schwarz0_.reset();
-    next_ = nullptr;
-    sub_.reset();
-    if (subset_ > 1) sub_ = comm.split(members_);
-    parts_ = 0;
-    // Exactly the inline path's call sequence into the SAME profile: the
-    // degenerate hierarchy is bitwise-invisible in the breakdown.
-    direct_ = std::make_unique<dd::LocalSolver<Scalar>>(outer_.coarse);
-    const OpProfile before = prof ? *prof : OpProfile{};
-    direct_->symbolic(A0, prof);
-    direct_->numeric(A0, prof, prof);
-    numeric_prof_ = OpProfile{};
-    solve_prof_ = OpProfile{};
-    if (prof) {
-      numeric_prof_ = *prof;
-      numeric_prof_ -= before;
-    }
-    // Subset redistribution of the factored operator: each member ends up
-    // holding its 1/S slice (nothing to do on the root-only baseline).
-    if (sub_) sub_->gather(A0.storage_bytes() / subset_);
-  }
-
   void setup_recursive(const la::CsrMatrix<Scalar>& A0,
                        comm::Communicator& comm, OpProfile* prof) {
-    direct_.reset();
-    sub_.reset();
-    sub_ = comm.split(members_);
-    const index_t n0 = A0.num_rows();
+    sub_ = comm.split(
+        dd::coarse_members(comm.size(), outer_.hierarchy.coarse_ranks));
+    subset_ = sub_->size();
+    pattern_rowptr_ = A0.rowptr();
+    pattern_colind_ = A0.colind();
+    dim_ = A0.num_rows();
+    const index_t n0 = dim_;
     parts_ = level_parts(n0);
 
     // Re-partition + decompose the coarse matrix: the same machinery the
@@ -231,10 +167,7 @@ class CoarseHierarchy final : public dd::CoarseLevelSolver<Scalar> {
     Z0_ = la::DenseMatrix<double>(n0, 1);
     for (index_t i = 0; i < n0; ++i) Z0_(i, 0) = 1.0;
     schwarz0_->numeric_setup(A0, Z0_);
-
-    numeric_prof_ = inner_setup_total();
-    solve_prof_ = OpProfile{};
-    if (prof) *prof += numeric_prof_;
+    if (prof) *prof += inner_setup_total();
   }
 
   /// Total setup-side compute the inner Schwarz has accumulated: per-rank
@@ -251,42 +184,23 @@ class CoarseHierarchy final : public dd::CoarseLevelSolver<Scalar> {
     return total;
   }
 
-  /// Per-subset-rank compute shares of a terminal level: the direct
-  /// factor/trisolve divides its flops, traffic, and work items across
-  /// the S members (launch counts and critical path are per-rank
-  /// quantities) -- the same convention as the model's split_across_ranks.
-  static std::vector<OpProfile> split_shares(const OpProfile& total, int s) {
-    OpProfile share;
-    share.flops = total.flops / s;
-    share.bytes = total.bytes / s;
-    share.work_items = total.work_items / s;
-    share.launches = total.launches;
-    share.critical_path = total.critical_path;
-    return std::vector<OpProfile>(static_cast<size_t>(s), share);
-  }
-
   dd::SchwarzConfig outer_;
   index_t parent_parts_ = 0;
   index_t level_ = 2;
 
-  std::vector<int> members_;
-  int subset_ = 1;
-  index_t dim_ = 0;
-  index_t parts_ = 0;  ///< inner subdomains (0 = terminal direct)
-  std::vector<index_t> pattern_rowptr_, pattern_colind_;  ///< refresh guard
-
-  std::unique_ptr<comm::Communicator> sub_;  ///< subset comm (may be null)
   // Terminal branch.
-  std::unique_ptr<dd::LocalSolver<Scalar>> direct_;
+  std::unique_ptr<dd::DirectCoarseSolver<Scalar>> direct_;
   // Recursive branch: inner Schwarz on the subset comm; next_ is the
   // hierarchy one level up, owned by schwarz0_ through set_coarse_solver.
+  int subset_ = 1;
+  index_t dim_ = 0;
+  index_t parts_ = 0;  ///< inner subdomains
+  std::vector<index_t> pattern_rowptr_, pattern_colind_;  ///< refresh guard
+  std::unique_ptr<comm::Communicator> sub_;  ///< subset comm
   dd::SchwarzConfig inner_cfg_;
   std::unique_ptr<dd::SchwarzPreconditioner<Scalar>> schwarz0_;
   CoarseHierarchy<Scalar>* next_ = nullptr;
   la::DenseMatrix<double> Z0_;
-
-  OpProfile numeric_prof_;          ///< this level's setup compute
-  mutable OpProfile solve_prof_;    ///< this level's accumulated solves
 };
 
 }  // namespace frosch::mlevel

@@ -43,10 +43,10 @@ PreconditionerRegistry& preconditioner_registry() {
   static PreconditionerRegistry registry = [] {
     PreconditionerRegistry r;
     // Every schwarz variant delegates its coarse problem to a
-    // mlevel::CoarseHierarchy (in the variant's internal precision).  The
-    // default configuration (levels=2, coarse_ranks=root) is the
-    // hierarchy's degenerate terminal branch -- bitwise identical to the
-    // historical inline coarse path.
+    // mlevel::CoarseHierarchy (in the variant's internal precision).  At
+    // the default configuration (levels=2, coarse_ranks=root) the
+    // hierarchy is one terminal dd::DirectCoarseSolver, the solver a bare
+    // SchwarzPreconditioner installs itself.
     r.add("schwarz", [](const SolverConfig& cfg, const dd::Decomposition& d) {
       auto p = std::make_unique<dd::SchwarzPreconditioner<double>>(cfg.schwarz,
                                                                    d);

@@ -559,6 +559,8 @@ struct Trajectory {
 Trajectory reference_run(const test::MeshProblem& p, SolverConfig cfg) {
   auto decomp =
       dd::build_decomposition(p.A, p.owner, p.num_parts, cfg.schwarz.overlap);
+  comm::SimComm comm(decomp.num_parts, cfg.schwarz.exec);
+  cfg.schwarz.comm = &comm;
   dd::SchwarzPreconditioner<double> prec(cfg.schwarz, decomp);
   prec.symbolic_setup(p.A);
   prec.numeric_setup(p.A, p.Z);

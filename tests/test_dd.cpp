@@ -29,9 +29,11 @@ using test::strip_problem;
 /// Iteration counts are compared with MGS orthogonalization: the
 /// single-reduce variant's implicit residual estimate can cost one marginal
 /// restart cycle, which would pollute count comparisons between configs.
-index_t solve_iterations(const MeshProblem& p, const SchwarzConfig& cfg,
+index_t solve_iterations(const MeshProblem& p, SchwarzConfig cfg,
                          bool* converged = nullptr) {
   auto decomp = build_decomposition(p.A, p.owner, p.num_parts, cfg.overlap);
+  comm::SimComm comm(decomp.num_parts, cfg.exec);
+  cfg.comm = &comm;
   SchwarzPreconditioner<double> prec(cfg, decomp);
   prec.symbolic_setup(p.A);
   prec.numeric_setup(p.A, p.Z);
@@ -296,6 +298,8 @@ TEST(Schwarz, ProfilesAreRecordedPerRank) {
   auto p = laplace_problem(6, 2, 2, 1);
   auto d = build_decomposition(p.A, p.owner, p.num_parts, 1);
   SchwarzConfig cfg;
+  comm::SimComm comm(d.num_parts, cfg.exec);
+  cfg.comm = &comm;
   SchwarzPreconditioner<double> prec(cfg, d);
   prec.symbolic_setup(p.A);
   prec.numeric_setup(p.A, p.Z);
@@ -315,6 +319,8 @@ TEST(Schwarz, ApplyIsLinear) {
   auto p = laplace_problem(6, 2, 1, 1);
   auto d = build_decomposition(p.A, p.owner, p.num_parts, 1);
   SchwarzConfig cfg;
+  comm::SimComm comm(d.num_parts, cfg.exec);
+  cfg.comm = &comm;
   SchwarzPreconditioner<double> prec(cfg, d);
   prec.symbolic_setup(p.A);
   prec.numeric_setup(p.A, p.Z);
@@ -341,6 +347,8 @@ TEST(HalfPrecision, SinglePrecisionPreconditionerConvergesInDouble) {
   auto d = build_decomposition(p.A, p.owner, p.num_parts, 1);
 
   SchwarzConfig cfg;
+  comm::SimComm comm(d.num_parts, cfg.exec);
+  cfg.comm = &comm;
   SchwarzPreconditioner<double> prec_d(cfg, d);
   prec_d.symbolic_setup(p.A);
   prec_d.numeric_setup(p.A, p.Z);
@@ -365,6 +373,8 @@ TEST(Schwarz, PhaseOrderingIsEnforced) {
   auto p = laplace_problem(4, 2, 1, 1);
   auto d = build_decomposition(p.A, p.owner, p.num_parts, 1);
   SchwarzConfig cfg;
+  comm::SimComm comm(d.num_parts, cfg.exec);
+  cfg.comm = &comm;
   SchwarzPreconditioner<double> prec(cfg, d);
   std::vector<double> x(p.A.num_rows(), 1.0), y(p.A.num_rows());
   EXPECT_THROW(prec.numeric_setup(p.A, p.Z), Error);  // symbolic first
@@ -372,6 +382,20 @@ TEST(Schwarz, PhaseOrderingIsEnforced) {
   EXPECT_THROW(prec.apply(x, y, nullptr), Error);  // numeric first
   prec.numeric_setup(p.A, p.Z);
   EXPECT_NO_THROW(prec.apply(x, y, nullptr));
+}
+
+TEST(Schwarz, NullCommunicatorIsRejectedByName) {
+  auto p = laplace_problem(4, 2, 1, 1);
+  auto d = build_decomposition(p.A, p.owner, p.num_parts, 1);
+  SchwarzConfig cfg;  // comm left null
+  try {
+    SchwarzPreconditioner<double> prec(cfg, d);
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("SchwarzConfig::comm"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("null"), std::string::npos) << msg;
+  }
 }
 
 TEST(CoarseSpace, DependentRotationColumnsAreFiltered) {
@@ -391,6 +415,8 @@ TEST(CoarseSpace, DependentRotationColumnsAreFiltered) {
   SchwarzConfig cfg;
   cfg.subdomain.dof_block_size = 3;
   cfg.extension.dof_block_size = 3;
+  comm::SimComm comm(d.num_parts, cfg.exec);
+  cfg.comm = &comm;
   SchwarzPreconditioner<double> prec(cfg, d);
   prec.symbolic_setup(p.A);
   EXPECT_NO_THROW(prec.numeric_setup(p.A, p.Z));
@@ -421,6 +447,8 @@ TEST(HalfPrecision, CastOverheadIsRecorded) {
   auto d = build_decomposition(p.A, p.owner, p.num_parts, 1);
   auto Af = p.A.template convert<float>();
   SchwarzConfig cfg;
+  comm::SimComm comm(d.num_parts, cfg.exec);
+  cfg.comm = &comm;
   SchwarzPreconditioner<float> prec(cfg, d);
   prec.symbolic_setup(Af);
   prec.numeric_setup(Af, p.Z);
@@ -457,12 +485,16 @@ TEST(ParallelSchwarz, ThreadedSetupAndApplyMatchSerial) {
   auto d = build_decomposition(p.A, p.owner, p.num_parts, 1);
 
   SchwarzConfig serial_cfg;
+  comm::SimComm serial_comm(d.num_parts, serial_cfg.exec);
+  serial_cfg.comm = &serial_comm;
   SchwarzPreconditioner<double> serial_prec(serial_cfg, d);
   serial_prec.symbolic_setup(p.A);
   serial_prec.numeric_setup(p.A, p.Z);
 
   SchwarzConfig cfg;
   cfg.exec = exec::ExecPolicy::with_threads(4);
+  comm::SimComm comm(d.num_parts, cfg.exec);
+  cfg.comm = &comm;
   SchwarzPreconditioner<double> prec(cfg, d);
   prec.symbolic_setup(p.A);
   prec.numeric_setup(p.A, p.Z);

@@ -282,6 +282,8 @@ TEST_P(FacadeThreads, SchwarzApplyMatchesSerial) {
   auto decomp = dd::build_decomposition(p.A, p.owner, p.num_parts, 1);
 
   dd::SchwarzConfig serial_cfg;
+  comm::SimComm serial_comm(decomp.num_parts, serial_cfg.exec);
+  serial_cfg.comm = &serial_comm;
   dd::SchwarzPreconditioner<double> serial_prec(serial_cfg, decomp);
   serial_prec.symbolic_setup(p.A);
   serial_prec.numeric_setup(p.A, p.Z);
@@ -289,6 +291,8 @@ TEST_P(FacadeThreads, SchwarzApplyMatchesSerial) {
   dd::SchwarzConfig cfg;
   cfg.exec = ExecPolicy::with_threads(static_cast<int>(GetParam()));
   cfg.subdomain.exec = cfg.extension.exec = cfg.coarse.exec = cfg.exec;
+  comm::SimComm comm(decomp.num_parts, cfg.exec);
+  cfg.comm = &comm;
   dd::SchwarzPreconditioner<double> prec(cfg, decomp);
   prec.symbolic_setup(p.A);
   prec.numeric_setup(p.A, p.Z);

@@ -28,6 +28,8 @@ TEST(Algebraic, GraphPartitionedGdswConverges) {
   // graph only, constant null space.
   auto p = algebraic_laplace(8, 13, 1);  // 13: deliberately awkward k
   dd::SchwarzConfig cfg;
+  comm::SimComm comm(p.decomp.num_parts, cfg.exec);
+  cfg.comm = &comm;
   dd::SchwarzPreconditioner<double> prec(cfg, p.decomp);
   prec.symbolic_setup(p.A);
   prec.numeric_setup(p.A, p.Z);
@@ -68,6 +70,8 @@ TEST(NullSpace, TranslationsOnlyElasticityStillConverges) {
     dd::SchwarzConfig cfg;
     cfg.subdomain.dof_block_size = 3;
     cfg.extension.dof_block_size = 3;
+    comm::SimComm comm(decomp.num_parts, cfg.exec);
+    cfg.comm = &comm;
     dd::SchwarzPreconditioner<double> prec(cfg, decomp);
     prec.symbolic_setup(sys.A);
     prec.numeric_setup(sys.A, Z);
@@ -114,6 +118,8 @@ TEST(Amortization, RepeatedNumericSetupsKeepSolving) {
   // pattern), resolve, and check the answers track the scaling.
   auto p = algebraic_laplace(6, 6, 1);
   dd::SchwarzConfig cfg;
+  comm::SimComm comm(p.decomp.num_parts, cfg.exec);
+  cfg.comm = &comm;
   dd::SchwarzPreconditioner<double> prec(cfg, p.decomp);
   prec.symbolic_setup(p.A);
 
@@ -183,6 +189,8 @@ TEST_P(AwkwardPartitions, DuplicateVertexClassesDoNotBreakCoarseProblem) {
   // singular (GP-LU used to throw "structurally singular").
   auto p = algebraic_laplace(10, GetParam(), 1);
   dd::SchwarzConfig cfg;
+  comm::SimComm comm(p.decomp.num_parts, cfg.exec);
+  cfg.comm = &comm;
   dd::SchwarzPreconditioner<double> prec(cfg, p.decomp);
   prec.symbolic_setup(p.A);
   ASSERT_NO_THROW(prec.numeric_setup(p.A, p.Z));
@@ -207,6 +215,8 @@ TEST_P(OverlapGrowth, AlgebraicOverlapReducesIterations) {
     dd::SchwarzConfig cfg;
     cfg.overlap = ov;
     cfg.two_level = false;  // isolate the one-level effect
+    comm::SimComm comm(p.decomp.num_parts, cfg.exec);
+    cfg.comm = &comm;
     dd::SchwarzPreconditioner<double> prec(cfg, p.decomp);
     prec.symbolic_setup(p.A);
     prec.numeric_setup(p.A, p.Z);

@@ -337,32 +337,107 @@ TEST(Hierarchy, ConvectionDiffusionDriftStaysBounded) {
   EXPECT_LE(three.rep.iterations, 2 * two.rep.iterations);
 }
 
-TEST(Hierarchy, DefaultHookBitwiseMatchesInlineCoarsePath) {
-  // A SchwarzPreconditioner constructed WITHOUT a coarse hook runs the
-  // historical inline coarse path; installing the hierarchy at its default
-  // (levels=2, coarse_ranks=root) must reproduce every application bit for
-  // bit -- the degenerate-case preservation contract.
+void expect_same_profile(const OpProfile& a, const OpProfile& b,
+                         const std::string& what) {
+  EXPECT_EQ(a.flops, b.flops) << what;
+  EXPECT_EQ(a.bytes, b.bytes) << what;
+  EXPECT_EQ(a.launches, b.launches) << what;
+  EXPECT_EQ(a.critical_path, b.critical_path) << what;
+  EXPECT_EQ(a.work_items, b.work_items) << what;
+  EXPECT_EQ(a.reductions, b.reductions) << what;
+  EXPECT_EQ(a.neighbor_msgs, b.neighbor_msgs) << what;
+  EXPECT_EQ(a.msg_bytes, b.msg_bytes) << what;
+  EXPECT_EQ(a.sub_reductions, b.sub_reductions) << what;
+  EXPECT_EQ(a.sub_red_log2, b.sub_red_log2) << what;
+}
+
+/// The coarse side of two preconditioners agrees exactly: the
+/// coarse-factorization bar, the coarse PhaseProfile, and the one direct
+/// level's report.
+void expect_same_coarse(const dd::SchwarzProfiles& a,
+                        const dd::SchwarzProfiles& b, const std::string& what) {
+  expect_same_profile(a.numeric_breakdown.at("coarse-factorization"),
+                      b.numeric_breakdown.at("coarse-factorization"),
+                      what + " coarse-factorization");
+  expect_same_profile(a.coarse.symbolic, b.coarse.symbolic,
+                      what + " coarse.symbolic");
+  expect_same_profile(a.coarse.numeric, b.coarse.numeric,
+                      what + " coarse.numeric");
+  expect_same_profile(a.coarse.solve, b.coarse.solve, what + " coarse.solve");
+  ASSERT_EQ(a.coarse_levels.size(), 1u) << what;
+  ASSERT_EQ(b.coarse_levels.size(), 1u) << what;
+  const auto& la = a.coarse_levels[0];
+  const auto& lb = b.coarse_levels[0];
+  EXPECT_EQ(la.level, lb.level) << what;
+  EXPECT_EQ(la.dim, lb.dim) << what;
+  EXPECT_EQ(la.subset_size, lb.subset_size) << what;
+  EXPECT_EQ(la.parts, lb.parts) << what;
+  ASSERT_EQ(la.rank_numeric.size(), lb.rank_numeric.size()) << what;
+  ASSERT_EQ(la.rank_solve.size(), lb.rank_solve.size()) << what;
+  for (size_t r = 0; r < la.rank_numeric.size(); ++r) {
+    expect_same_profile(la.rank_numeric[r], lb.rank_numeric[r],
+                        what + " rank_numeric " + std::to_string(r));
+    expect_same_profile(la.rank_solve[r], lb.rank_solve[r],
+                        what + " rank_solve " + std::to_string(r));
+  }
+}
+
+/// A SchwarzPreconditioner with no coarse solver installed (the dd default,
+/// dd::DirectCoarseSolver) against one holding mlevel::CoarseHierarchy at
+/// levels=2: applies memcmp-equal and coarse profiles identical, after the
+/// cold setup and after a value refresh.
+void expect_default_matches_hierarchy(dd::CoarseRanks ranks, int nranks,
+                                      int subset) {
   const auto p = test::laplace_problem(8, 2, 2, 2);
   auto decomp = dd::build_decomposition(p.A, p.owner, p.num_parts, 1);
   dd::SchwarzConfig cfg;
+  cfg.hierarchy.coarse_ranks = ranks;
+  comm::SimComm dcomm(nranks, cfg.exec), hcomm(nranks, cfg.exec);
+  dd::SchwarzConfig dcfg = cfg, hcfg = cfg;
+  dcfg.comm = &dcomm;
+  hcfg.comm = &hcomm;
+  dd::SchwarzPreconditioner<double> dflt(dcfg, decomp);
+  dd::SchwarzPreconditioner<double> hier(hcfg, decomp);
+  hier.set_coarse_solver(
+      std::make_unique<mlevel::CoarseHierarchy<double>>(hcfg,
+                                                        decomp.num_parts));
+  dflt.symbolic_setup(p.A);
+  hier.symbolic_setup(p.A);
+  dflt.numeric_setup(p.A, p.Z);
+  hier.numeric_setup(p.A, p.Z);
 
-  dd::SchwarzPreconditioner<double> inline_prec(cfg, decomp);
-  inline_prec.symbolic_setup(p.A);
-  inline_prec.numeric_setup(p.A, p.Z);
-
-  dd::SchwarzPreconditioner<double> hooked(cfg, decomp);
-  hooked.set_coarse_solver(
-      std::make_unique<mlevel::CoarseHierarchy<double>>(cfg, decomp.num_parts));
-  hooked.symbolic_setup(p.A);
-  hooked.numeric_setup(p.A, p.Z);
-
+  const std::string tag = to_string(ranks);
   const size_t n = static_cast<size_t>(p.A.num_rows());
-  std::vector<double> x(n), y_inline(n), y_hooked(n);
+  std::vector<double> x(n), yd(n), yh(n);
   for (size_t i = 0; i < n; ++i) x[i] = std::sin(0.37 * double(i + 1));
-  inline_prec.apply(x, y_inline, nullptr);
-  hooked.apply(x, y_hooked, nullptr);
-  EXPECT_EQ(std::memcmp(y_inline.data(), y_hooked.data(), n * sizeof(double)),
-            0);
+  auto check = [&](const std::string& what) {
+    dflt.apply(x, yd, nullptr);
+    hier.apply(x, yh, nullptr);
+    EXPECT_EQ(std::memcmp(yd.data(), yh.data(), n * sizeof(double)), 0)
+        << what;
+    expect_same_coarse(dflt.profiles(), hier.profiles(), what);
+    EXPECT_EQ(dflt.profiles().coarse_levels[0].subset_size, subset) << what;
+    for (int r = 0; r < nranks; ++r)
+      expect_same_profile(dcomm.prof(r), hcomm.prof(r),
+                          what + " comm rank " + std::to_string(r));
+  };
+  check(tag + " setup");
+
+  auto A2 = p.A;
+  for (index_t i = 0; i < A2.num_rows(); ++i)
+    for (index_t k = A2.row_begin(i); k < A2.row_end(i); ++k)
+      A2.val(k) *= (1.0 + 0.25 * (i % 3)) * (1.0 + 0.25 * (A2.col(k) % 3));
+  ASSERT_TRUE(dflt.numeric_refresh(A2, p.Z));
+  ASSERT_TRUE(hier.numeric_refresh(A2, p.Z));
+  check(tag + " refresh");
+}
+
+TEST(Hierarchy, DefaultDirectSolverMatchesHierarchyAtDefaults) {
+  expect_default_matches_hierarchy(dd::CoarseRanks::Root, 8, 1);
+}
+
+TEST(Hierarchy, DefaultDirectSolverMatchesHierarchyOnEverySecondRank) {
+  expect_default_matches_hierarchy(dd::CoarseRanks::Every2nd, 4, 2);
 }
 
 // ---------------------------------------------------------------------------

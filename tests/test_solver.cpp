@@ -418,7 +418,10 @@ struct Golden {
 Golden hand_wired(const test::MeshProblem& p, const SolverConfig& cfg) {
   auto decomp =
       dd::build_decomposition(p.A, p.owner, p.num_parts, cfg.schwarz.overlap);
-  dd::SchwarzPreconditioner<double> prec(cfg.schwarz, decomp);
+  comm::SimComm comm(decomp.num_parts, cfg.schwarz.exec);
+  auto schwarz = cfg.schwarz;
+  schwarz.comm = &comm;
+  dd::SchwarzPreconditioner<double> prec(schwarz, decomp);
   prec.symbolic_setup(p.A);
   prec.numeric_setup(p.A, p.Z);
   krylov::CsrOperator<double> op(p.A);

@@ -11,6 +11,7 @@
 #include "direct/multifrontal.hpp"
 #include "fem/assembly.hpp"
 #include "graph/nested_dissection.hpp"
+#include "ilu/iluk.hpp"
 #include "la/ops.hpp"
 #include "support/matrices.hpp"
 #include "trisolve/engines.hpp"
@@ -360,55 +361,80 @@ TEST(PanelSweep, CholeskyFactorsAreFlaggedOthersAreNot) {
 
 /// Every sweep engine on every block width, serial and threaded, must be
 /// memcmp-equal column by column to the CSR row kernel's L-then-U
-/// substitution -- the arithmetic the engines ran before the panel sweep.
+/// substitution (after the factor's row permutation) -- the arithmetic
+/// the engines ran before the panel sweep.
+template <class Scalar>
+void expect_factor_sweeps_match(const Factorization<Scalar>& f,
+                                const std::string& name) {
+  const index_t n = f.n();
+  const size_t rows = static_cast<size_t>(n);
+  for (const index_t w : {1, 3, 8, 9, 17}) {
+    const size_t ws = static_cast<size_t>(w);
+    std::vector<Scalar> B(rows * ws);
+    for (index_t c = 0; c < w; ++c) {
+      const auto col = random_vector(n, 100 + static_cast<unsigned>(c));
+      for (size_t i = 0; i < rows; ++i)
+        B[i * ws + c] = static_cast<Scalar>(col[i]);
+    }
+    std::vector<std::vector<Scalar>> ref(ws, std::vector<Scalar>(rows));
+    for (size_t c = 0; c < ws; ++c) {
+      std::vector<Scalar> b(rows);
+      for (size_t i = 0; i < rows; ++i) b[i] = B[i * ws + c];
+      f.apply_row_perm(b, ref[c]);
+      substitution_sweep<1>(f.L, f.unit_diag_L, /*forward=*/true,
+                            ref[c].data(), 1);
+      substitution_sweep<1>(f.U, /*unit_diag=*/false, /*forward=*/false,
+                            ref[c].data(), 1);
+    }
+    for (const int threads : {1, 4}) {
+      for (const auto kind :
+           {TrisolveKind::Substitution, TrisolveKind::LevelSet,
+            TrisolveKind::SupernodalLevelSet}) {
+        TrisolveOptions opts;
+        opts.exec = exec::ExecPolicy::with_threads(threads);
+        auto engine = make_trisolve<Scalar>(kind, opts);
+        engine->setup(f, nullptr);
+        std::vector<Scalar> X(rows * ws, Scalar(-1));
+        engine->solve_block(n, w, B.data(), X.data(), nullptr);
+        for (size_t c = 0; c < ws; ++c) {
+          std::vector<Scalar> col(rows);
+          for (size_t i = 0; i < rows; ++i) col[i] = X[i * ws + c];
+          EXPECT_EQ(std::memcmp(col.data(), ref[c].data(),
+                                rows * sizeof(Scalar)),
+                    0)
+              << name << " " << to_string(kind) << " w=" << w
+              << " threads=" << threads << " column " << c;
+        }
+      }
+    }
+  }
+}
+
+/// The factor axis: the Cholesky factor (panel sweep), a pivoted LU factor
+/// and an ILU(1) factor (CSR row kernel only) of every panel case.  The LU
+/// factors the case with every third row scaled by 1/64, so partial
+/// pivoting permutes rows and the engines' row permutation is exercised.
 template <class Scalar>
 void expect_sweeps_match_csr_substitution() {
   for (const PanelCase& pc : panel_cases()) {
     const la::CsrMatrix<Scalar> A = pc.A.template convert<Scalar>();
+    const std::string name = pc.name;
     direct::MultifrontalCholesky<Scalar> chol;
     chol.symbolic(A);
     chol.numeric(A);
-    const auto& f = chol.factorization();
-    const index_t n = f.n();
-    const size_t rows = static_cast<size_t>(n);
-    for (const index_t w : {1, 3, 8, 9, 17}) {
-      const size_t ws = static_cast<size_t>(w);
-      std::vector<Scalar> B(rows * ws);
-      for (index_t c = 0; c < w; ++c) {
-        const auto col = random_vector(n, 100 + static_cast<unsigned>(c));
-        for (size_t i = 0; i < rows; ++i)
-          B[i * ws + c] = static_cast<Scalar>(col[i]);
-      }
-      std::vector<std::vector<Scalar>> ref(ws, std::vector<Scalar>(rows));
-      for (size_t c = 0; c < ws; ++c) {
-        for (size_t i = 0; i < rows; ++i) ref[c][i] = B[i * ws + c];
-        substitution_sweep<1>(f.L, f.unit_diag_L, /*forward=*/true,
-                              ref[c].data(), 1);
-        substitution_sweep<1>(f.U, /*unit_diag=*/false, /*forward=*/false,
-                              ref[c].data(), 1);
-      }
-      for (const int threads : {1, 4}) {
-        for (const auto kind :
-             {TrisolveKind::Substitution, TrisolveKind::LevelSet,
-              TrisolveKind::SupernodalLevelSet}) {
-          TrisolveOptions opts;
-          opts.exec = exec::ExecPolicy::with_threads(threads);
-          auto engine = make_trisolve<Scalar>(kind, opts);
-          engine->setup(f, nullptr);
-          std::vector<Scalar> X(rows * ws, Scalar(-1));
-          engine->solve_block(n, w, B.data(), X.data(), nullptr);
-          for (size_t c = 0; c < ws; ++c) {
-            std::vector<Scalar> col(rows);
-            for (size_t i = 0; i < rows; ++i) col[i] = X[i * ws + c];
-            EXPECT_EQ(std::memcmp(col.data(), ref[c].data(),
-                                  rows * sizeof(Scalar)),
-                      0)
-                << pc.name << " " << to_string(kind) << " w=" << w
-                << " threads=" << threads << " column " << c;
-          }
-        }
-      }
-    }
+    expect_factor_sweeps_match(chol.factorization(), name + " cholesky");
+    la::CsrMatrix<Scalar> As = A;
+    for (index_t i = 0; i < As.num_rows(); i += 3)
+      for (index_t k = As.row_begin(i); k < As.row_end(i); ++k)
+        As.val(k) = As.val(k) / Scalar(64);
+    direct::GilbertPeierlsLu<Scalar> lu;
+    lu.symbolic(As);
+    lu.numeric(As);
+    expect_factor_sweeps_match(lu.factorization(), name + " gp-lu");
+    ilu::IlukFactorization<Scalar> iluk;
+    iluk.symbolic(A, /*level=*/1);
+    iluk.numeric(A);
+    expect_factor_sweeps_match(iluk.factorization(), name + " iluk1");
   }
 }
 
