@@ -21,9 +21,9 @@
 //                                                 //   history, coarse dim,
 //                                                 //   per-phase profiles
 //
-// The subsystem layers underneath (dd::SchwarzPreconditioner, the
-// krylov::KrylovSolver implementations, the trisolve engines, ...) remain
-// individually includable for fine-grained control; the facade is how
+// The subsystem layers underneath (dd::SchwarzPreconditioner,
+// krylov::KrylovSolver and its block engine, the trisolve engines, ...)
+// remain individually includable for fine-grained control; the facade is how
 // examples, benches, and the perf experiment driver wire them together.
 #pragma once
 

@@ -1,16 +1,14 @@
 #include "krylov/block.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
 
-// Batched-fused block Krylov (see block.hpp).  Implementation rule: every
-// per-column arithmetic statement is copied VERBATIM from the single-vector
-// solver (gmres.cpp / cg.hpp) and executed in the same order within the
-// column, and every distributed reduction the scalar solver performs at a
-// given point of the iteration appears here as one slot range of a fused
-// dist_fused_dots call at the same point.  That rule is what the width-1
-// bitwise-identity tests in test_comm.cpp pin down.
+// The one Krylov engine (see block.hpp).  Every distributed reduction of a
+// column's recurrence is one slot range of a fused dist_fused_dots call, and
+// each slot folds alone, so a column's trajectory is that of its solo solve
+// at any width.  gmres() and cg() are the width-1 calls of this engine.
 namespace frosch::krylov {
 
 namespace {
@@ -20,124 +18,296 @@ using ColPtrs = std::vector<const std::vector<Scalar>*>;
 template <class Scalar>
 using MutColPtrs = std::vector<std::vector<Scalar>*>;
 
+/// What every column of a block solve carries.
+template <class Scalar>
+struct Column {
+  const std::vector<Scalar>* b = nullptr;
+  std::vector<Scalar>* x = nullptr;
+  std::vector<Scalar> r;  ///< residual (the recurrence residual for CG)
+  double target = 0.0;
+  bool finished = false;  ///< deflated: out of the lockstep
+  SolveResult res;
+};
+
+template <class Scalar>
+double root(Scalar s) {
+  return static_cast<double>(std::sqrt(s));
+}
+
+/// The machinery the block solves share: column binding, the operator-
+/// application rule, fused reductions and residual norms.
+template <class Scalar>
+class Engine {
+ public:
+  Engine(const char* who, const LinearOperator<Scalar>& A, size_t width,
+         OpProfile* prof, const exec::ExecPolicy& ex,
+         const la::DistContext& dc)
+      : who_(who), A_(A), single_(width == 1), n_(A.rows()), prof_(prof),
+        ex_(ex), dc_(dc) {
+    FROSCH_CHECK(A.rows() == A.cols(), who << ": square operator required");
+  }
+
+  index_t n() const { return n_; }
+  OpProfile* prof() const { return prof_; }
+  const exec::ExecPolicy& ex() const { return ex_; }
+  const la::DistContext& dc() const { return dc_; }
+
+  /// Binds column c to (b, x) under the initial-guess contract: an empty x
+  /// is the zero guess, a system-sized x a warm start.
+  void bind(Column<Scalar>& cl, size_t c, const std::vector<Scalar>* b,
+            std::vector<Scalar>* x) const {
+    FROSCH_CHECK(static_cast<index_t>(b->size()) == n_,
+                 who_ << ": rhs size mismatch in column " << c);
+    FROSCH_CHECK(x->empty() || static_cast<index_t>(x->size()) == n_,
+                 who_ << ": column " << c
+                      << " must be empty (zero initial guess) or sized like "
+                         "the system (warm start); got "
+                      << x->size() << " for n = " << n_);
+    x->resize(static_cast<size_t>(n_), Scalar(0));
+    cl.b = b;
+    cl.x = x;
+    cl.r.assign(static_cast<size_t>(n_), Scalar(0));
+  }
+
+  void queue(const std::vector<Scalar>* in, std::vector<Scalar>* out) {
+    ins_.push_back(in);
+    outs_.push_back(out);
+  }
+
+  /// Applies op to the queued (in -> out) columns.  A solve with one
+  /// right-hand side applies through apply(), a wider one through
+  /// apply_columns() at every active width.  Every real operator's apply()
+  /// is its width-1 block application, so the bits agree either way; the
+  /// rule keeps a single-vector solve on the single-vector seam.
+  void apply(const LinearOperator<Scalar>& op) {
+    if (single_)
+      op.apply(*ins_[0], *outs_[0], prof_);
+    else
+      op.apply_columns(ins_, outs_, prof_);
+    ins_.clear();
+    outs_.clear();
+  }
+
+  void dot(const std::vector<Scalar>* x, const std::vector<Scalar>* y) {
+    jobs_.push_back({x, y});
+  }
+
+  /// ONE fused all-reduce carrying every queued dot, in queue order.
+  const std::vector<Scalar>& reduce() {
+    la::dist_fused_dots(dc_, jobs_, vals_, prof_, ex_);
+    jobs_.clear();
+    return vals_;
+  }
+
+  /// *into(c) = b_c - A x_c for the listed columns (one application), then
+  /// one fused all-reduce of their squared norms.
+  template <class Col, class Into>
+  const std::vector<Scalar>& residual_norms(std::vector<Col>& cols,
+                                            const std::vector<size_t>& sel,
+                                            Into into) {
+    for (size_t c : sel) queue(cols[c].x, into(cols[c]));
+    apply(A_);
+    for (size_t c : sel) {
+      auto& r = *into(cols[c]);
+      const auto& b = *cols[c].b;
+      exec::parallel_for(ex_, n_, [&](index_t i) { r[i] = b[i] - r[i]; });
+      dot(&r, &r);
+    }
+    return reduce();
+  }
+
+  /// Initial residuals r = b - A x and their fused norms.  A column with a
+  /// zero residual has converged; a zero iteration cap runs no iteration.
+  /// Either way the column is deflated before the first lockstep step.
+  template <class Col>
+  void start(std::vector<Col>& cols, double tol, index_t max_iters) {
+    std::vector<size_t> all(cols.size());
+    for (size_t c = 0; c < all.size(); ++c) all[c] = c;
+    const auto& v = residual_norms(cols, all, [](Col& cl) { return &cl.r; });
+    for (size_t c = 0; c < cols.size(); ++c) {
+      auto& res = cols[c].res;
+      const double beta0 = root(v[c]);
+      res.initial_residual = beta0;
+      res.final_residual = beta0;
+      res.residual_history.push_back(beta0);
+      res.converged = beta0 == 0.0;
+      cols[c].target = tol * beta0;
+      cols[c].finished = res.converged || max_iters <= 0;
+    }
+  }
+
+ private:
+  const char* who_;
+  const LinearOperator<Scalar>& A_;
+  bool single_;
+  index_t n_;
+  OpProfile* prof_;
+  const exec::ExecPolicy& ex_;
+  const la::DistContext& dc_;
+  ColPtrs<Scalar> ins_;
+  MutColPtrs<Scalar> outs_;
+  std::vector<la::DotJob<Scalar>> jobs_;
+  std::vector<Scalar> vals_;
+};
+
 // ---------------------------------------------------------------------------
 // Block GMRES
 // ---------------------------------------------------------------------------
 
 template <class Scalar>
-struct GmresColumn {
+struct GmresColumn : Column<Scalar> {
+  explicit GmresColumn(index_t m)
+      : V(static_cast<size_t>(m) + 1), lsq(m), h(static_cast<size_t>(m) + 1) {}
   std::vector<std::vector<Scalar>> V;
-  la::DenseMatrix<Scalar> H;
-  std::vector<Scalar> cs, sn, g, h;
-  std::vector<Scalar> r, w, z;
-  const std::vector<Scalar>* b = nullptr;
-  std::vector<Scalar>* x = nullptr;
-  double beta = 0.0, target = 0.0;
+  GivensLsq<Scalar> lsq;
+  std::vector<Scalar> h, w, z;
+  double beta = 0.0;
   index_t j = 0;
-  bool finished = false;
   bool at_restart = true;  ///< cycle must be (re)initialized before stepping
-  bool end_cycle = false;  ///< flagged for this iteration's cycle-end stage
-  bool fallback = false;   ///< cancellation fallback fired this step
-  SolveResult res;
-
-  GmresColumn() : H(0, 0) {}
 };
 
-}  // namespace
+/// Orthogonalizes every active column's w against its basis V[0..j],
+/// leaving the coefficients in h[0..j] and the norm of the projected w in
+/// h[j+1].  Each reduction is one fused all-reduce over the columns that
+/// take part in it, so per lockstep iteration:
+///   single-reduce  [V^T w ; w^T w]: 1 (+2 when cancellation strikes)
+///   MGS            V[i]^T w for i = 0..max j, then the norms: max j + 2
+///   CGS2           two projection passes, then the norms: 3
+template <class Scalar>
+void orthogonalize(Engine<Scalar>& e, std::vector<GmresColumn<Scalar>>& cols,
+                   const std::vector<size_t>& act, OrthoKind kind,
+                   std::vector<size_t>& sel) {
+  const la::DistContext& dc = e.dc();
+  OpProfile* prof = e.prof();
+  const exec::ExecPolicy& ex = e.ex();
+  // One classical Gram-Schmidt pass: one all-reduce for every V^T w, then
+  // the projections; `first` starts h, later passes accumulate into it.
+  auto cgs_pass = [&](const std::vector<size_t>& list, bool first) {
+    for (size_t c : list)
+      for (index_t i = 0; i <= cols[c].j; ++i)
+        e.dot(&cols[c].V[static_cast<size_t>(i)], &cols[c].w);
+    const auto& v = e.reduce();
+    size_t off = 0;
+    for (size_t c : list) {
+      auto& cl = cols[c];
+      for (index_t i = 0; i <= cl.j; ++i) {
+        const size_t u = static_cast<size_t>(i);
+        const Scalar ci = v[off + u];
+        la::dist_axpy(dc, -ci, cl.V[u], cl.w, prof, ex);
+        cl.h[u] = first ? ci : cl.h[u] + ci;
+      }
+      off += static_cast<size_t>(cl.j) + 1;
+    }
+  };
+  auto norms = [&](const std::vector<size_t>& list) {
+    for (size_t c : list) e.dot(&cols[c].w, &cols[c].w);
+    const auto& v = e.reduce();
+    for (size_t q = 0; q < list.size(); ++q)
+      cols[list[q]].h[static_cast<size_t>(cols[list[q]].j) + 1] =
+          std::sqrt(v[q]);
+  };
+
+  switch (kind) {
+    case OrthoKind::MGS: {
+      index_t jmax = 0;
+      for (size_t c : act) jmax = std::max(jmax, cols[c].j);
+      for (index_t i = 0; i <= jmax; ++i) {
+        const size_t u = static_cast<size_t>(i);
+        sel.clear();
+        for (size_t c : act) {
+          if (cols[c].j < i) continue;
+          sel.push_back(c);
+          e.dot(&cols[c].V[u], &cols[c].w);
+        }
+        const auto& v = e.reduce();
+        for (size_t q = 0; q < sel.size(); ++q) {
+          auto& cl = cols[sel[q]];
+          cl.h[u] = v[q];
+          la::dist_axpy(dc, -cl.h[u], cl.V[u], cl.w, prof, ex);
+        }
+      }
+      norms(act);
+      return;
+    }
+    case OrthoKind::CGS2:
+      cgs_pass(act, true);
+      cgs_pass(act, false);
+      norms(act);
+      return;
+    case OrthoKind::SingleReduce: {
+      // Fuse [V^T w ; w^T w]; the norm of the projected vector follows from
+      // the Pythagorean identity ||w - V c||^2 = w^T w - ||c||^2.
+      for (size_t c : act) {
+        for (index_t i = 0; i <= cols[c].j; ++i)
+          e.dot(&cols[c].V[static_cast<size_t>(i)], &cols[c].w);
+        e.dot(&cols[c].w, &cols[c].w);
+      }
+      const auto& v = e.reduce();
+      sel.clear();
+      size_t off = 0;
+      for (size_t c : act) {
+        auto& cl = cols[c];
+        const size_t j = static_cast<size_t>(cl.j);
+        const Scalar wtw = v[off + j + 1];
+        Scalar c2 = Scalar(0);
+        for (size_t i = 0; i <= j; ++i) {
+          cl.h[i] = v[off + i];
+          c2 += cl.h[i] * cl.h[i];
+        }
+        for (size_t i = 0; i <= j; ++i)
+          la::dist_axpy(dc, -cl.h[i], cl.V[i], cl.w, prof, ex);
+        const Scalar nrm2v = wtw - c2;
+        if (!(nrm2v > Scalar(1e-4) * wtw))
+          sel.push_back(c);
+        else
+          cl.h[j + 1] = std::sqrt(nrm2v);
+        off += j + 2;
+      }
+      if (!sel.empty()) {
+        // Severe cancellation: the Pythagorean estimate is untrustworthy
+        // and the projection has lost orthogonality.  Re-orthogonalize
+        // once and take explicit norms ("twice is enough"), fused over the
+        // columns that triggered it.
+        cgs_pass(sel, false);
+        norms(sel);
+      }
+      return;
+    }
+  }
+}
 
 template <class Scalar>
-BlockSolveResult block_gmres(const LinearOperator<Scalar>& A,
-                             const LinearOperator<Scalar>* prec,
-                             const std::vector<std::vector<Scalar>>& B,
-                             std::vector<std::vector<Scalar>>& X,
-                             const GmresOptions& opts) {
-  FROSCH_CHECK(A.rows() == A.cols(), "block_gmres: square operator required");
-  FROSCH_CHECK(opts.restart > 0, "block_gmres: restart must be positive");
-  FROSCH_CHECK(opts.ortho == OrthoKind::SingleReduce,
-               "block_gmres: only the single-reduce orthogonalization has a "
-               "width-independent reduction structure; got "
-                   << to_string(opts.ortho));
-  FROSCH_CHECK(B.size() == X.size() || X.empty(),
-               "block_gmres: X must be empty or match B's width");
-  const index_t n = A.rows();
+BlockSolveResult gmres_engine(const char* who,
+                              const LinearOperator<Scalar>& A,
+                              const LinearOperator<Scalar>* prec,
+                              const ColPtrs<Scalar>& B,
+                              const MutColPtrs<Scalar>& X,
+                              const GmresOptions& opts) {
+  FROSCH_CHECK(opts.restart > 0, who << ": restart must be positive");
   const index_t m = opts.restart;
   const size_t nb = B.size();
-
   BlockSolveResult out;
   out.columns.resize(nb);
+  Engine<Scalar> e(who, A, nb, &out.profile, opts.exec, opts.dist);
   if (nb == 0) return out;
-  if (X.empty()) X.resize(nb);
-  OpProfile* prof = &out.profile;
+  const index_t n = e.n();
+  OpProfile* prof = e.prof();
   const exec::ExecPolicy& ex = opts.exec;
   const la::DistContext& dc = opts.dist;
 
-  std::vector<GmresColumn<Scalar>> cols(nb);
+  std::vector<GmresColumn<Scalar>> cols;
+  cols.reserve(nb);
   for (size_t c = 0; c < nb; ++c) {
-    auto& cl = cols[c];
-    FROSCH_CHECK(static_cast<index_t>(B[c].size()) == n,
-                 "block_gmres: rhs size mismatch in column " << c);
-    FROSCH_CHECK(X[c].empty() || static_cast<index_t>(X[c].size()) == n,
-                 "block_gmres: column " << c
-                     << " must be empty (zero initial guess) or sized like "
-                        "the system (warm start); got " << X[c].size());
-    X[c].resize(static_cast<size_t>(n), Scalar(0));
-    cl.b = &B[c];
-    cl.x = &X[c];
-    cl.V.resize(static_cast<size_t>(m) + 1);
-    cl.H = la::DenseMatrix<Scalar>(m + 1, m);
-    cl.cs.assign(static_cast<size_t>(m), Scalar(0));
-    cl.sn.assign(static_cast<size_t>(m), Scalar(0));
-    cl.g.assign(static_cast<size_t>(m) + 1, Scalar(0));
-    cl.h.assign(static_cast<size_t>(m) + 1, Scalar(0));
-    cl.r.assign(static_cast<size_t>(n), Scalar(0));
+    cols.emplace_back(m);
+    auto& cl = cols.back();
+    e.bind(cl, c, B[c], X[c]);
     cl.w.assign(static_cast<size_t>(n), Scalar(0));
     cl.z.assign(static_cast<size_t>(n), Scalar(0));
   }
+  e.start(cols, opts.tol, opts.max_iters);
+  for (auto& cl : cols) cl.beta = cl.res.initial_residual;
 
-  // Initial residuals r = b - A x: one block application, then one fused
-  // all-reduce carrying every column's norm.
-  {
-    ColPtrs<Scalar> xs(nb);
-    MutColPtrs<Scalar> rs(nb);
-    for (size_t c = 0; c < nb; ++c) {
-      xs[c] = cols[c].x;
-      rs[c] = &cols[c].r;
-    }
-    A.apply_columns(xs, rs, prof);
-  }
-  for (size_t c = 0; c < nb; ++c) {
-    auto& cl = cols[c];
-    auto& r = cl.r;
-    const auto& b = *cl.b;
-    exec::parallel_for(ex, n, [&](index_t i) { r[i] = b[i] - r[i]; });
-  }
-  {
-    std::vector<la::DotJob<Scalar>> jobs(nb);
-    for (size_t c = 0; c < nb; ++c) jobs[c] = {&cols[c].r, &cols[c].r};
-    std::vector<Scalar> nr2;
-    la::dist_fused_dots(dc, jobs, nr2, prof, ex);
-    for (size_t c = 0; c < nb; ++c) {
-      auto& cl = cols[c];
-      const double beta0 = static_cast<double>(
-          std::sqrt(nr2[c]));
-      cl.res.initial_residual = beta0;
-      cl.res.residual_history.push_back(beta0);
-      if (beta0 == 0.0) {
-        cl.res.converged = true;
-        cl.finished = true;  // deflated before the first lockstep iteration
-      } else {
-        cl.target = opts.tol * beta0;
-        cl.beta = beta0;
-      }
-    }
-  }
-
-  std::vector<size_t> act, fb, enders;
-  std::vector<la::DotJob<Scalar>> jobs;
-  std::vector<Scalar> vals;
-  ColPtrs<Scalar> ins;
-  MutColPtrs<Scalar> outs;
-
+  std::vector<size_t> act, sel;
   for (;;) {
     act.clear();
     for (size_t c = 0; c < nb; ++c)
@@ -150,233 +320,83 @@ BlockSolveResult block_gmres(const LinearOperator<Scalar>& A,
       if (!cl.at_restart) continue;
       cl.V[0] = cl.r;
       la::dist_scale(dc, cl.V[0], Scalar(1.0 / cl.beta), prof, ex);
-      std::fill(cl.g.begin(), cl.g.end(), Scalar(0));
-      cl.g[0] = static_cast<Scalar>(cl.beta);
+      cl.lsq.reset(cl.beta);
       cl.j = 0;
       cl.at_restart = false;
     }
 
-    // --- w = A M^{-1} v_j for every active column, fused applications ---
-    ins.clear();
-    outs.clear();
+    // --- w = A M^{-1} v_j for every active column ---
+    for (size_t c : act) {
+      auto& cl = cols[c];
+      e.queue(&cl.V[static_cast<size_t>(cl.j)], prec ? &cl.z : &cl.w);
+    }
     if (prec) {
-      for (size_t c : act) {
-        ins.push_back(&cols[c].V[static_cast<size_t>(cols[c].j)]);
-        outs.push_back(&cols[c].z);
-      }
-      prec->apply_columns(ins, outs, prof);
-      ins.clear();
-      outs.clear();
-      for (size_t c : act) {
-        ins.push_back(&cols[c].z);
-        outs.push_back(&cols[c].w);
-      }
-      A.apply_columns(ins, outs, prof);
-    } else {
-      for (size_t c : act) {
-        ins.push_back(&cols[c].V[static_cast<size_t>(cols[c].j)]);
-        outs.push_back(&cols[c].w);
-      }
-      A.apply_columns(ins, outs, prof);
+      e.apply(*prec);
+      for (size_t c : act) e.queue(&cols[c].z, &cols[c].w);
     }
+    e.apply(A);
 
-    // --- fused single-reduce orthogonalization: column c contributes its
-    // [V_c^T w_c ; w_c^T w_c] slots (j_c + 2 of them) to ONE all-reduce ---
-    jobs.clear();
+    orthogonalize(e, cols, act, opts.ortho, sel);
+
+    // --- per-column Givens update / breakdown handling (local work); sel
+    // collects the columns whose cycle ends this iteration ---
+    sel.clear();
     for (size_t c : act) {
       auto& cl = cols[c];
-      for (index_t i = 0; i <= cl.j; ++i)
-        jobs.push_back({&cl.V[static_cast<size_t>(i)], &cl.w});
-      jobs.push_back({&cl.w, &cl.w});
-    }
-    la::dist_fused_dots(dc, jobs, vals, prof, ex);
-    fb.clear();
-    {
-      size_t off = 0;
-      for (size_t c : act) {
-        auto& cl = cols[c];
-        const index_t j = cl.j;
-        const Scalar wtw = vals[off + static_cast<size_t>(j) + 1];
-        Scalar c2 = Scalar(0);
-        for (index_t i = 0; i <= j; ++i) {
-          cl.h[static_cast<size_t>(i)] = vals[off + static_cast<size_t>(i)];
-          c2 += cl.h[static_cast<size_t>(i)] * cl.h[static_cast<size_t>(i)];
-        }
-        for (index_t i = 0; i <= j; ++i)
-          la::dist_axpy(dc, -cl.h[static_cast<size_t>(i)],
-                        cl.V[static_cast<size_t>(i)], cl.w, prof, ex);
-        const Scalar nrm2v = wtw - c2;
-        if (!(nrm2v > Scalar(1e-4) * wtw)) {
-          // Same cancellation safeguard as the scalar path; the fallback
-          // columns' re-orthogonalization is fused below.
-          cl.fallback = true;
-          fb.push_back(c);
-        } else {
-          cl.h[static_cast<size_t>(j) + 1] = std::sqrt(nrm2v);
-        }
-        off += static_cast<size_t>(j) + 2;
-      }
-    }
-    if (!fb.empty()) {
-      // "Twice is enough" re-orthogonalization, fused across the columns
-      // that triggered it: one all-reduce for the projections, the axpys,
-      // then one all-reduce for the explicit norms -- the same two extra
-      // collectives the scalar fallback costs.
-      jobs.clear();
-      for (size_t c : fb) {
-        auto& cl = cols[c];
-        for (index_t i = 0; i <= cl.j; ++i)
-          jobs.push_back({&cl.V[static_cast<size_t>(i)], &cl.w});
-      }
-      la::dist_fused_dots(dc, jobs, vals, prof, ex);
-      size_t off = 0;
-      for (size_t c : fb) {
-        auto& cl = cols[c];
-        for (index_t i = 0; i <= cl.j; ++i) {
-          const Scalar ci = vals[off + static_cast<size_t>(i)];
-          la::dist_axpy(dc, -ci, cl.V[static_cast<size_t>(i)], cl.w, prof, ex);
-          cl.h[static_cast<size_t>(i)] += ci;
-        }
-        off += static_cast<size_t>(cl.j) + 1;
-      }
-      jobs.clear();
-      for (size_t c : fb) jobs.push_back({&cols[c].w, &cols[c].w});
-      la::dist_fused_dots(dc, jobs, vals, prof, ex);
-      for (size_t q = 0; q < fb.size(); ++q) {
-        auto& cl = cols[fb[q]];
-        cl.h[static_cast<size_t>(cl.j) + 1] = std::sqrt(vals[q]);
-        cl.fallback = false;
-      }
-    }
-
-    // --- per-column Givens update / breakdown handling (local work) ---
-    for (size_t c : act) {
-      auto& cl = cols[c];
-      const index_t j = cl.j;
-      auto& h = cl.h;
-      auto& H = cl.H;
-      auto& g = cl.g;
-      auto& cs = cl.cs;
-      auto& sn = cl.sn;
-      if (!(h[static_cast<size_t>(j) + 1] > Scalar(0))) {
-        // Breakdown (see gmres.cpp): rotate the final column into the basis
-        // of the accumulated Givens rotations; no new rotation is needed.
-        for (index_t i = 0; i < j; ++i) {
-          const Scalar t = cs[static_cast<size_t>(i)] * h[static_cast<size_t>(i)] +
-                           sn[static_cast<size_t>(i)] * h[static_cast<size_t>(i) + 1];
-          h[static_cast<size_t>(i) + 1] =
-              -sn[static_cast<size_t>(i)] * h[static_cast<size_t>(i)] +
-              cs[static_cast<size_t>(i)] * h[static_cast<size_t>(i) + 1];
-          h[static_cast<size_t>(i)] = t;
-        }
-        for (index_t i = 0; i <= j + 1; ++i)
-          H(i, j) = i <= j ? h[static_cast<size_t>(i)] : Scalar(0);
-        ++cl.res.iterations;
-        cl.res.residual_history.push_back(
-            std::abs(static_cast<double>(g[static_cast<size_t>(j)])));
-        if (opts.on_iteration)
-          opts.on_iteration(cl.res.iterations, cl.res.residual_history.back());
+      const size_t j = static_cast<size_t>(cl.j);
+      if (!(cl.h[j + 1] > Scalar(0))) {
+        // Breakdown: the Krylov space is invariant; close the cycle on it.
+        record_iteration(cl.res, cl.lsq.close_breakdown(cl.j, cl.h),
+                         opts.on_iteration);
         ++cl.j;
-        cl.end_cycle = true;
+        sel.push_back(c);
         continue;
       }
-      for (index_t i = 0; i <= j + 1; ++i) H(i, j) = h[static_cast<size_t>(i)];
-      cl.V[static_cast<size_t>(j) + 1] = cl.w;
-      la::dist_scale(dc, cl.V[static_cast<size_t>(j) + 1],
-                     Scalar(1) / h[static_cast<size_t>(j) + 1], prof, ex);
-      for (index_t i = 0; i < j; ++i) {
-        const Scalar t = cs[static_cast<size_t>(i)] * H(i, j) +
-                         sn[static_cast<size_t>(i)] * H(i + 1, j);
-        H(i + 1, j) = -sn[static_cast<size_t>(i)] * H(i, j) +
-                      cs[static_cast<size_t>(i)] * H(i + 1, j);
-        H(i, j) = t;
-      }
-      const Scalar a = H(j, j), bb = H(j + 1, j);
-      const Scalar rho = std::sqrt(a * a + bb * bb);
-      FROSCH_CHECK(rho > Scalar(0), "block_gmres: Givens breakdown");
-      cs[static_cast<size_t>(j)] = a / rho;
-      sn[static_cast<size_t>(j)] = bb / rho;
-      H(j, j) = rho;
-      H(j + 1, j) = Scalar(0);
-      g[static_cast<size_t>(j) + 1] = -sn[static_cast<size_t>(j)] * g[static_cast<size_t>(j)];
-      g[static_cast<size_t>(j)] = cs[static_cast<size_t>(j)] * g[static_cast<size_t>(j)];
-      ++cl.res.iterations;
-      const double rnorm =
-          std::abs(static_cast<double>(g[static_cast<size_t>(j) + 1]));
-      cl.res.residual_history.push_back(rnorm);
-      if (opts.on_iteration) opts.on_iteration(cl.res.iterations, rnorm);
+      // The projected w becomes the next basis vector; w takes the old
+      // storage as scratch for the next application.
+      cl.V[j + 1].resize(static_cast<size_t>(n));
+      cl.V[j + 1].swap(cl.w);
+      la::dist_scale(dc, cl.V[j + 1], Scalar(1) / cl.h[j + 1], prof, ex);
+      const double rnorm = cl.lsq.rotate(cl.j, cl.h);
+      record_iteration(cl.res, rnorm, opts.on_iteration);
       ++cl.j;
       if (rnorm <= cl.target || cl.j == m ||
           cl.res.iterations >= opts.max_iters)
-        cl.end_cycle = true;
+        sel.push_back(c);
     }
 
-    // --- cycle-end stage, fused over the columns whose cycle finished ---
-    enders.clear();
-    for (size_t c : act)
-      if (cols[c].end_cycle) enders.push_back(c);
-    if (enders.empty()) continue;
-
-    for (size_t c : enders) {
-      auto& cl = cols[c];
-      const index_t j = cl.j;
-      std::vector<Scalar> y(static_cast<size_t>(j));
-      for (index_t i = j - 1; i >= 0; --i) {
-        Scalar s = cl.g[static_cast<size_t>(i)];
-        for (index_t k2 = i + 1; k2 < j; ++k2) s -= cl.H(i, k2) * y[static_cast<size_t>(k2)];
-        y[static_cast<size_t>(i)] = s / cl.H(i, i);
-      }
-      std::fill(cl.z.begin(), cl.z.end(), Scalar(0));
-      for (index_t i = 0; i < j; ++i)
-        la::dist_axpy(dc, y[static_cast<size_t>(i)], cl.V[static_cast<size_t>(i)],
-                      cl.z, prof, ex);
-    }
+    // --- cycle end, fused over the columns whose cycle finished ---
+    if (sel.empty()) continue;
+    for (size_t c : sel) cols[c].lsq.correction(cols[c].j, cols[c].V,
+                                                cols[c].z, dc, prof, ex);
     if (prec) {
-      // z <- M^{-1} z through one fused application (w is free here and
-      // serves as the scalar path's temporary t).
-      ins.clear();
-      outs.clear();
-      for (size_t c : enders) {
-        ins.push_back(&cols[c].z);
-        outs.push_back(&cols[c].w);
-      }
-      prec->apply_columns(ins, outs, prof);
-      for (size_t c : enders) cols[c].z.swap(cols[c].w);
+      // z <- M^{-1} z (w is free here and takes the result).
+      for (size_t c : sel) e.queue(&cols[c].z, &cols[c].w);
+      e.apply(*prec);
+      for (size_t c : sel) cols[c].z.swap(cols[c].w);
     }
-    for (size_t c : enders) {
-      auto& cl = cols[c];
-      auto& x = *cl.x;
-      const auto& z = cl.z;
+    for (size_t c : sel) {
+      auto& x = *cols[c].x;
+      const auto& z = cols[c].z;
       exec::parallel_for(ex, n, [&](index_t i) { x[i] += z[i]; });
     }
-    ins.clear();
-    outs.clear();
-    for (size_t c : enders) {
-      ins.push_back(cols[c].x);
-      outs.push_back(&cols[c].r);
-    }
-    A.apply_columns(ins, outs, prof);
-    for (size_t c : enders) {
-      auto& cl = cols[c];
-      auto& r = cl.r;
-      const auto& b = *cl.b;
-      exec::parallel_for(ex, n, [&](index_t i) { r[i] = b[i] - r[i]; });
-    }
-    jobs.clear();
-    for (size_t c : enders) jobs.push_back({&cols[c].r, &cols[c].r});
-    la::dist_fused_dots(dc, jobs, vals, prof, ex);
-    for (size_t q = 0; q < enders.size(); ++q) {
-      auto& cl = cols[enders[q]];
-      cl.beta = static_cast<double>(std::sqrt(vals[q]));
+    // True residuals for the restart / convergence decision; each replaces
+    // the cycle's last (implicit) history entry.
+    const auto& v = e.residual_norms(
+        cols, sel, [](GmresColumn<Scalar>& cl) { return &cl.r; });
+    for (size_t q = 0; q < sel.size(); ++q) {
+      auto& cl = cols[sel[q]];
+      cl.beta = root(v[q]);
       cl.res.final_residual = cl.beta;
       cl.res.residual_history.back() = cl.beta;
-      cl.end_cycle = false;
       if (cl.beta <= cl.target) {
         cl.res.converged = true;
-        cl.finished = true;  // deflation: drops out of the lockstep
+        cl.finished = true;
       } else if (cl.res.iterations >= opts.max_iters) {
         cl.finished = true;
       } else {
+        // An unconfirmed implicit convergence (or a breakdown) restarts
+        // from the true residual.
         cl.at_restart = true;
       }
     }
@@ -390,226 +410,130 @@ BlockSolveResult block_gmres(const LinearOperator<Scalar>& A,
 // Block CG
 // ---------------------------------------------------------------------------
 
-namespace {
-
 template <class Scalar>
-struct CgColumn {
-  std::vector<Scalar> r, z, p, Ap, rt;
-  const std::vector<Scalar>* b = nullptr;
-  std::vector<Scalar>* x = nullptr;
+struct CgColumn : Column<Scalar> {
+  std::vector<Scalar> z, p, Ap, rt;
   Scalar rz = Scalar(0);
-  double target = 0.0;
-  bool finished = false;
-  SolveResult res;
 };
 
-}  // namespace
-
 template <class Scalar>
-BlockSolveResult block_cg(const LinearOperator<Scalar>& A,
-                          const LinearOperator<Scalar>* prec,
-                          const std::vector<std::vector<Scalar>>& B,
-                          std::vector<std::vector<Scalar>>& X,
-                          const CgOptions& opts) {
-  FROSCH_CHECK(A.rows() == A.cols(), "block_cg: square operator required");
-  FROSCH_CHECK(B.size() == X.size() || X.empty(),
-               "block_cg: X must be empty or match B's width");
-  const index_t n = A.rows();
+BlockSolveResult cg_engine(const char* who, const LinearOperator<Scalar>& A,
+                           const LinearOperator<Scalar>* prec,
+                           const ColPtrs<Scalar>& B,
+                           const MutColPtrs<Scalar>& X,
+                           const CgOptions& opts) {
   const size_t nb = B.size();
-
   BlockSolveResult out;
   out.columns.resize(nb);
+  Engine<Scalar> e(who, A, nb, &out.profile, opts.exec, opts.dist);
   if (nb == 0) return out;
-  if (X.empty()) X.resize(nb);
-  OpProfile* prof = &out.profile;
+  const index_t n = e.n();
+  OpProfile* prof = e.prof();
   const exec::ExecPolicy& ex = opts.exec;
   const la::DistContext& dc = opts.dist;
 
   std::vector<CgColumn<Scalar>> cols(nb);
   for (size_t c = 0; c < nb; ++c) {
     auto& cl = cols[c];
-    FROSCH_CHECK(static_cast<index_t>(B[c].size()) == n,
-                 "block_cg: rhs size mismatch in column " << c);
-    FROSCH_CHECK(X[c].empty() || static_cast<index_t>(X[c].size()) == n,
-                 "block_cg: column " << c
-                     << " must be empty (zero initial guess) or sized like "
-                        "the system (warm start); got " << X[c].size());
-    X[c].resize(static_cast<size_t>(n), Scalar(0));
-    cl.b = &B[c];
-    cl.x = &X[c];
-    cl.r.assign(static_cast<size_t>(n), Scalar(0));
+    e.bind(cl, c, B[c], X[c]);
     cl.z.assign(static_cast<size_t>(n), Scalar(0));
     cl.Ap.assign(static_cast<size_t>(n), Scalar(0));
     cl.rt.assign(static_cast<size_t>(n), Scalar(0));
   }
+  e.start(cols, opts.tol, opts.max_iters);
 
   std::vector<size_t> act, confirm;
-  std::vector<la::DotJob<Scalar>> jobs;
-  std::vector<Scalar> vals;
-  ColPtrs<Scalar> ins;
-  MutColPtrs<Scalar> outs;
-
-  // Initial residuals and fused norms.
-  {
-    ins.clear();
-    outs.clear();
-    for (size_t c = 0; c < nb; ++c) {
-      ins.push_back(cols[c].x);
-      outs.push_back(&cols[c].r);
-    }
-    A.apply_columns(ins, outs, prof);
-    for (size_t c = 0; c < nb; ++c) {
-      auto& cl = cols[c];
-      auto& r = cl.r;
-      const auto& b = *cl.b;
-      exec::parallel_for(ex, n, [&](index_t i) { r[i] = b[i] - r[i]; });
-    }
-    jobs.clear();
-    for (size_t c = 0; c < nb; ++c) jobs.push_back({&cols[c].r, &cols[c].r});
-    la::dist_fused_dots(dc, jobs, vals, prof, ex);
-    for (size_t c = 0; c < nb; ++c) {
-      auto& cl = cols[c];
-      const double beta0 = static_cast<double>(std::sqrt(vals[c]));
-      cl.res.initial_residual = beta0;
-      cl.res.residual_history.push_back(beta0);
-      if (beta0 == 0.0) {
-        cl.res.converged = true;
-        cl.finished = true;
-      } else {
-        cl.target = opts.tol * beta0;
-      }
-    }
-  }
-
-  // z = M^{-1} r and the first fused r.z for the surviving columns.
-  act.clear();
-  for (size_t c = 0; c < nb; ++c)
-    if (!cols[c].finished) act.push_back(c);
-  if (!act.empty()) {
-    if (prec) {
-      ins.clear();
-      outs.clear();
-      for (size_t c : act) {
-        ins.push_back(&cols[c].r);
-        outs.push_back(&cols[c].z);
-      }
-      prec->apply_columns(ins, outs, prof);
-    } else {
-      for (size_t c : act) cols[c].z = cols[c].r;
-    }
-    for (size_t c : act) cols[c].p = cols[c].z;
-    jobs.clear();
-    for (size_t c : act) jobs.push_back({&cols[c].r, &cols[c].z});
-    la::dist_fused_dots(dc, jobs, vals, prof, ex);
-    for (size_t q = 0; q < act.size(); ++q) cols[act[q]].rz = vals[q];
-  }
-
-  for (;;) {
+  auto active = [&] {
     act.clear();
     for (size_t c = 0; c < nb; ++c)
       if (!cols[c].finished) act.push_back(c);
-    if (act.empty()) break;
-
-    // Stage 1 of 3: fused Ap = A p and one all-reduce for every p.Ap.
-    ins.clear();
-    outs.clear();
-    for (size_t c : act) {
-      ins.push_back(&cols[c].p);
-      outs.push_back(&cols[c].Ap);
+    return !act.empty();
+  };
+  // z = M^{-1} r and one fused all-reduce for every r.z.
+  auto precondition = [&] {
+    if (prec) {
+      for (size_t c : act) e.queue(&cols[c].r, &cols[c].z);
+      e.apply(*prec);
+    } else {
+      for (size_t c : act) cols[c].z = cols[c].r;
     }
-    A.apply_columns(ins, outs, prof);
-    jobs.clear();
-    for (size_t c : act) jobs.push_back({&cols[c].p, &cols[c].Ap});
-    la::dist_fused_dots(dc, jobs, vals, prof, ex);
+    for (size_t c : act) e.dot(&cols[c].r, &cols[c].z);
+    return e.reduce();
+  };
+
+  if (active()) {
+    const auto& v = precondition();
     for (size_t q = 0; q < act.size(); ++q) {
       auto& cl = cols[act[q]];
-      const Scalar pAp = vals[q];
-      FROSCH_CHECK(pAp > Scalar(0),
-                   "block_cg: operator not SPD (p^T A p <= 0) in column "
-                       << act[q]);
-      const Scalar alpha = cl.rz / pAp;
-      la::dist_axpy(dc, alpha, cl.p, *cl.x, prof, ex);
-      la::dist_axpy(dc, -alpha, cl.Ap, cl.r, prof, ex);
-      ++cl.res.iterations;
+      cl.p = cl.z;
+      cl.rz = v[q];
+    }
+  }
+
+  while (active()) {
+    // Stage 1 of 3: Ap = A p and one all-reduce for every p.Ap.
+    for (size_t c : act) {
+      e.queue(&cols[c].p, &cols[c].Ap);
+      e.dot(&cols[c].p, &cols[c].Ap);
+    }
+    e.apply(A);
+    {
+      const auto& v = e.reduce();
+      for (size_t q = 0; q < act.size(); ++q) {
+        auto& cl = cols[act[q]];
+        const Scalar pAp = v[q];
+        FROSCH_CHECK(pAp > Scalar(0), who << ": operator not SPD (p^T A p "
+                                             "<= 0) in column " << act[q]);
+        const Scalar alpha = cl.rz / pAp;
+        la::dist_axpy(dc, alpha, cl.p, *cl.x, prof, ex);
+        la::dist_axpy(dc, -alpha, cl.Ap, cl.r, prof, ex);
+      }
     }
 
     // Stage 2 of 3: one all-reduce for every recurrence-residual norm.
-    jobs.clear();
-    for (size_t c : act) jobs.push_back({&cols[c].r, &cols[c].r});
-    la::dist_fused_dots(dc, jobs, vals, prof, ex);
-    confirm.clear();
-    for (size_t q = 0; q < act.size(); ++q) {
-      auto& cl = cols[act[q]];
-      const double rn = static_cast<double>(std::sqrt(vals[q]));
-      cl.res.final_residual = rn;
-      cl.res.residual_history.push_back(rn);
-      if (opts.on_iteration) opts.on_iteration(cl.res.iterations, rn);
-      if (rn <= cl.target) confirm.push_back(act[q]);
+    for (size_t c : act) e.dot(&cols[c].r, &cols[c].r);
+    {
+      const auto& v = e.reduce();
+      confirm.clear();
+      for (size_t q = 0; q < act.size(); ++q) {
+        auto& cl = cols[act[q]];
+        const double rn = root(v[q]);
+        cl.res.final_residual = rn;
+        record_iteration(cl.res, rn, opts.on_iteration);
+        if (rn <= cl.target) confirm.push_back(act[q]);
+      }
     }
     if (!confirm.empty()) {
-      // True-residual confirmation (the scalar safeguard), fused over the
-      // columns that signalled convergence.
-      ins.clear();
-      outs.clear();
-      for (size_t c : confirm) {
-        ins.push_back(cols[c].x);
-        outs.push_back(&cols[c].rt);
-      }
-      A.apply_columns(ins, outs, prof);
-      for (size_t c : confirm) {
-        auto& cl = cols[c];
-        auto& rt = cl.rt;
-        const auto& b = *cl.b;
-        exec::parallel_for(ex, n, [&](index_t i) { rt[i] = b[i] - rt[i]; });
-      }
-      jobs.clear();
-      for (size_t c : confirm) jobs.push_back({&cols[c].rt, &cols[c].rt});
-      la::dist_fused_dots(dc, jobs, vals, prof, ex);
+      // Confirm against the true residual (the recurrence drifts over many
+      // iterations); unconfirmed columns keep iterating on the (still
+      // valid) recurrence.
+      const auto& v = e.residual_norms(
+          cols, confirm, [](CgColumn<Scalar>& cl) { return &cl.rt; });
       for (size_t q = 0; q < confirm.size(); ++q) {
         auto& cl = cols[confirm[q]];
-        const double tn = static_cast<double>(std::sqrt(vals[q]));
+        const double tn = root(v[q]);
         cl.res.final_residual = tn;
         cl.res.residual_history.back() = tn;
         if (tn <= cl.target) {
           cl.res.converged = true;
-          cl.finished = true;  // deflated
+          cl.finished = true;
         }
-        // Unconfirmed columns keep iterating on the (still valid) recurrence.
       }
     }
 
-    // Stage 3 of 3: fused z = M^{-1} r and one all-reduce for every r.z.
-    // Columns at max_iters still run it (exactly the scalar loop's trailing
-    // work on its last pass) and are retired afterwards.
-    act.clear();
-    for (size_t c = 0; c < nb; ++c)
-      if (!cols[c].finished) act.push_back(c);
-    if (!act.empty()) {
-      if (prec) {
-        ins.clear();
-        outs.clear();
-        for (size_t c : act) {
-          ins.push_back(&cols[c].r);
-          outs.push_back(&cols[c].z);
-        }
-        prec->apply_columns(ins, outs, prof);
-      } else {
-        for (size_t c : act) cols[c].z = cols[c].r;
-      }
-      jobs.clear();
-      for (size_t c : act) jobs.push_back({&cols[c].r, &cols[c].z});
-      la::dist_fused_dots(dc, jobs, vals, prof, ex);
-      for (size_t q = 0; q < act.size(); ++q) {
-        auto& cl = cols[act[q]];
-        const Scalar rz_new = vals[q];
-        const Scalar betak = rz_new / cl.rz;
-        cl.rz = rz_new;
-        auto& p = cl.p;
-        const auto& z = cl.z;
-        exec::parallel_for(ex, n,
-                           [&](index_t i) { p[i] = z[i] + betak * p[i]; });
-        if (cl.res.iterations >= opts.max_iters) cl.finished = true;
-      }
+    // Stage 3 of 3: z = M^{-1} r, r.z and the direction update.  Columns
+    // at the iteration cap run it too and are retired afterwards.
+    if (!active()) break;
+    const auto& v = precondition();
+    for (size_t q = 0; q < act.size(); ++q) {
+      auto& cl = cols[act[q]];
+      const Scalar rz_new = v[q];
+      const Scalar betak = rz_new / cl.rz;
+      cl.rz = rz_new;
+      auto& p = cl.p;
+      const auto& z = cl.z;
+      exec::parallel_for(ex, n, [&](index_t i) { p[i] = z[i] + betak * p[i]; });
+      if (cl.res.iterations >= opts.max_iters) cl.finished = true;
     }
   }
 
@@ -617,21 +541,87 @@ BlockSolveResult block_cg(const LinearOperator<Scalar>& A,
   return out;
 }
 
-template BlockSolveResult block_gmres<double>(
-    const LinearOperator<double>&, const LinearOperator<double>*,
-    const std::vector<std::vector<double>>&,
-    std::vector<std::vector<double>>&, const GmresOptions&);
-template BlockSolveResult block_gmres<float>(
-    const LinearOperator<float>&, const LinearOperator<float>*,
-    const std::vector<std::vector<float>>&, std::vector<std::vector<float>>&,
-    const GmresOptions&);
-template BlockSolveResult block_cg<double>(
-    const LinearOperator<double>&, const LinearOperator<double>*,
-    const std::vector<std::vector<double>>&,
-    std::vector<std::vector<double>>&, const CgOptions&);
-template BlockSolveResult block_cg<float>(
-    const LinearOperator<float>&, const LinearOperator<float>*,
-    const std::vector<std::vector<float>>&, std::vector<std::vector<float>>&,
-    const CgOptions&);
+/// Resolves block X against B (X empty or of B's width) into column lists.
+template <class Scalar>
+void column_lists(const char* who, const std::vector<std::vector<Scalar>>& B,
+                  std::vector<std::vector<Scalar>>& X, ColPtrs<Scalar>& bs,
+                  MutColPtrs<Scalar>& xs) {
+  FROSCH_CHECK(B.size() == X.size() || X.empty(),
+               who << ": X must be empty or match B's width");
+  if (X.empty()) X.resize(B.size());
+  for (size_t c = 0; c < B.size(); ++c) {
+    bs.push_back(&B[c]);
+    xs.push_back(&X[c]);
+  }
+}
+
+SolveResult width1_result(BlockSolveResult&& out) {
+  out.columns[0].profile = out.profile;
+  return std::move(out.columns[0]);
+}
+
+}  // namespace
+
+template <class Scalar>
+BlockSolveResult block_gmres(const LinearOperator<Scalar>& A,
+                             const LinearOperator<Scalar>* prec,
+                             const std::vector<std::vector<Scalar>>& B,
+                             std::vector<std::vector<Scalar>>& X,
+                             const GmresOptions& opts) {
+  ColPtrs<Scalar> bs;
+  MutColPtrs<Scalar> xs;
+  column_lists("block_gmres", B, X, bs, xs);
+  return gmres_engine("block_gmres", A, prec, bs, xs, opts);
+}
+
+template <class Scalar>
+BlockSolveResult block_cg(const LinearOperator<Scalar>& A,
+                          const LinearOperator<Scalar>* prec,
+                          const std::vector<std::vector<Scalar>>& B,
+                          std::vector<std::vector<Scalar>>& X,
+                          const CgOptions& opts) {
+  ColPtrs<Scalar> bs;
+  MutColPtrs<Scalar> xs;
+  column_lists("block_cg", B, X, bs, xs);
+  return cg_engine("block_cg", A, prec, bs, xs, opts);
+}
+
+template <class Scalar>
+SolveResult gmres(const LinearOperator<Scalar>& A,
+                  const LinearOperator<Scalar>* prec,
+                  const std::vector<Scalar>& b, std::vector<Scalar>& x,
+                  const GmresOptions& opts) {
+  return width1_result(
+      gmres_engine<Scalar>("gmres", A, prec, {&b}, {&x}, opts));
+}
+
+template <class Scalar>
+SolveResult cg(const LinearOperator<Scalar>& A,
+               const LinearOperator<Scalar>* prec,
+               const std::vector<Scalar>& b, std::vector<Scalar>& x,
+               const CgOptions& opts) {
+  return width1_result(
+      cg_engine<Scalar>("cg", A, prec, {&b}, {&x}, opts));
+}
+
+#define FROSCH_KRYLOV_ENGINE(S)                                              \
+  template BlockSolveResult block_gmres<S>(                                  \
+      const LinearOperator<S>&, const LinearOperator<S>*,                    \
+      const std::vector<std::vector<S>>&, std::vector<std::vector<S>>&,      \
+      const GmresOptions&);                                                  \
+  template BlockSolveResult block_cg<S>(                                     \
+      const LinearOperator<S>&, const LinearOperator<S>*,                    \
+      const std::vector<std::vector<S>>&, std::vector<std::vector<S>>&,      \
+      const CgOptions&);                                                     \
+  template SolveResult gmres<S>(const LinearOperator<S>&,                    \
+                                const LinearOperator<S>*,                    \
+                                const std::vector<S>&, std::vector<S>&,      \
+                                const GmresOptions&);                        \
+  template SolveResult cg<S>(const LinearOperator<S>&,                       \
+                             const LinearOperator<S>*, const std::vector<S>&, \
+                             std::vector<S>&, const CgOptions&);
+FROSCH_KRYLOV_ENGINE(double)
+FROSCH_KRYLOV_ENGINE(float)
+#undef FROSCH_KRYLOV_ENGINE
 
 }  // namespace frosch::krylov

@@ -1,23 +1,25 @@
-// Batched multi-RHS Krylov solvers: block GMRES and block CG run WIDTH
-// independent solves in lockstep over a multi-column block, fusing the
-// per-iteration communication across columns --
+// The one Krylov engine: block GMRES and block CG run WIDTH independent
+// solves in lockstep over a multi-column block, fusing the per-iteration
+// communication across columns.  As in Belos, a single-vector solve is the
+// width-1 block solve: gmres() and cg() are adapters of these two loops.
 //
-//   * operator / preconditioner applications go through
-//     LinearOperator::apply_columns (one ghost import per block application
-//     on the distributed operator),
+//   * operator / preconditioner applications of a multi-column solve go
+//     through LinearOperator::apply_columns (one ghost import per block
+//     application on the distributed operator); a single-column solve
+//     applies through apply(), the width-1 block application;
 //   * every reduction stage batches ALL columns' partial sums into ONE
-//     measured allreduce_slots via la::dist_fused_dots, so a block GMRES
-//     iteration performs exactly one collective regardless of the width
-//     (block CG keeps its fixed three stages per iteration).
+//     measured allreduce_slots via la::dist_fused_dots.  Per lockstep
+//     iteration, block GMRES makes 1 collective under single-reduce, max j
+//     + 2 under MGS and 3 under CGS2, whatever the width; block CG keeps
+//     its fixed three stages.
 //
-// Each column is advanced with exactly the single-vector recurrences of
-// gmres() / cg(): fused all-reduce slots fold independently, so a column's
-// trajectory -- iterates, Givens rotations, residual history, iteration
-// count -- never depends on which other columns share the block.  Width 1
-// is bitwise identical to gmres() / cg(), and a column's results are
+// Fused all-reduce slots fold independently, so a column's trajectory --
+// iterates, Givens rotations, residual history, iteration count -- never
+// depends on which other columns share the block: a column's results are
 // reproduced bit for bit at ANY batch composition.  Converged columns are
 // DEFLATED: they drop out of the lockstep and stop contributing work and
-// all-reduce payload while the rest continue.
+// all-reduce payload while the rest continue.  A zero iteration cap runs no
+// iteration and reports final_residual = initial_residual.
 #pragma once
 
 #include "krylov/cg.hpp"
@@ -48,9 +50,7 @@ struct BlockSolveResult {
 
 /// Block GMRES over B.size() right-hand sides; X[c] obeys the single-vector
 /// initial-guess contract per column (empty = zero guess, system-sized =
-/// warm start).  Requires opts.ortho == OrthoKind::SingleReduce -- the only
-/// orthogonalization whose per-iteration reduction structure is width-
-/// independent (MGS/CGS2 would serialize desynchronized columns).
+/// warm start).  Every OrthoKind is supported.
 template <class Scalar>
 BlockSolveResult block_gmres(const LinearOperator<Scalar>& A,
                              const LinearOperator<Scalar>* prec,

@@ -2,11 +2,13 @@
 // GMRES (the Belos package the paper builds on ships both).  Used by tests
 // to cross-check the GDSW preconditioner's SPD application.
 //
-// Convergence semantics are IDENTICAL to gmres(): the tolerance is relative
-// to the initial residual, a convergence signalled by the recurrence
-// residual is confirmed against the explicitly computed true residual
-// before the solver stops, and the same SolveResult fields are populated
-// (including the residual history and the per-iteration callback).
+// Like gmres(), cg() is the width-1 block solve: an adapter of block_cg
+// (krylov/block.hpp), which holds the one CG loop.  Convergence semantics
+// are IDENTICAL to gmres(): the tolerance is relative to the initial
+// residual, a convergence signalled by the recurrence residual is confirmed
+// against the explicitly computed true residual before the solver stops,
+// and the same SolveResult fields are populated (including the residual
+// history and the per-iteration callback).
 #pragma once
 
 #include "krylov/gmres.hpp"
@@ -28,79 +30,6 @@ template <class Scalar>
 SolveResult cg(const LinearOperator<Scalar>& A,
                const LinearOperator<Scalar>* prec,
                const std::vector<Scalar>& b, std::vector<Scalar>& x,
-               const CgOptions& opts = {}) {
-  FROSCH_CHECK(A.rows() == A.cols(), "cg: square operator required");
-  const index_t n = A.rows();
-  FROSCH_CHECK(static_cast<index_t>(b.size()) == n, "cg: rhs size mismatch");
-  FROSCH_CHECK(x.empty() || static_cast<index_t>(x.size()) == n,
-               "cg: x must be empty (zero initial guess) or sized like the "
-               "system (warm start); got " << x.size() << " for n = " << n);
-  x.resize(static_cast<size_t>(n), Scalar(0));
-  SolveResult res;
-  OpProfile* prof = &res.profile;
-  const exec::ExecPolicy& ex = opts.exec;
-  const la::DistContext& dc = opts.dist;
-
-  // Caller-sizes-the-output contract of LinearOperator::apply: every
-  // target, including the preconditioned residual z, is sized up front.
-  std::vector<Scalar> r(static_cast<size_t>(n)), z(static_cast<size_t>(n)),
-      p, Ap(static_cast<size_t>(n));
-  A.apply(x, r, prof);
-  exec::parallel_for(ex, n, [&](index_t i) { r[i] = b[i] - r[i]; });
-  const double beta0 = static_cast<double>(la::dist_norm2(dc, r, prof, ex));
-  res.initial_residual = beta0;
-  res.residual_history.push_back(beta0);
-  if (beta0 == 0.0) {
-    res.converged = true;
-    return res;
-  }
-  const double target = opts.tol * beta0;
-
-  if (prec) {
-    prec->apply(r, z, prof);
-  } else {
-    z = r;
-  }
-  p = z;
-  Scalar rz = la::dist_dot(dc, r, z, prof, ex);
-  for (index_t it = 0; it < opts.max_iters; ++it) {
-    A.apply(p, Ap, prof);
-    const Scalar pAp = la::dist_dot(dc, p, Ap, prof, ex);
-    FROSCH_CHECK(pAp > Scalar(0), "cg: operator not SPD (p^T A p <= 0)");
-    const Scalar alpha = rz / pAp;
-    la::dist_axpy(dc, alpha, p, x, prof, ex);
-    la::dist_axpy(dc, -alpha, Ap, r, prof, ex);
-    ++res.iterations;
-    const double rn = static_cast<double>(la::dist_norm2(dc, r, prof, ex));
-    res.final_residual = rn;
-    res.residual_history.push_back(rn);
-    if (opts.on_iteration) opts.on_iteration(res.iterations, rn);
-    if (rn <= target) {
-      // Confirm against the true residual (the recurrence r drifts over many
-      // iterations) -- the same safeguard gmres() applies at its restarts.
-      std::vector<Scalar> rt(static_cast<size_t>(n));
-      A.apply(x, rt, prof);
-      exec::parallel_for(ex, n, [&](index_t i) { rt[i] = b[i] - rt[i]; });
-      const double tn = static_cast<double>(la::dist_norm2(dc, rt, prof, ex));
-      res.final_residual = tn;
-      res.residual_history.back() = tn;
-      if (tn <= target) {
-        res.converged = true;
-        return res;
-      }
-      // Unconfirmed: keep iterating on the (still valid) recurrence.
-    }
-    if (prec) {
-      prec->apply(r, z, prof);
-    } else {
-      z = r;
-    }
-    const Scalar rz_new = la::dist_dot(dc, r, z, prof, ex);
-    const Scalar betak = rz_new / rz;
-    rz = rz_new;
-    exec::parallel_for(ex, n, [&](index_t i) { p[i] = z[i] + betak * p[i]; });
-  }
-  return res;
-}
+               const CgOptions& opts = {});
 
 }  // namespace frosch::krylov

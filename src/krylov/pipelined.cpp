@@ -53,11 +53,10 @@ SolveResult cg_pipe(const LinearOperator<Scalar>& A,
   exec::parallel_for(ex, n, [&](index_t i) { r[i] = b[i] - r[i]; });
   const double beta0 = static_cast<double>(la::dist_norm2(dc, r, prof, ex));
   res.initial_residual = beta0;
+  res.final_residual = beta0;
   res.residual_history.push_back(beta0);
-  if (beta0 == 0.0) {
-    res.converged = true;
-    return res;
-  }
+  res.converged = beta0 == 0.0;
+  if (res.converged || opts.max_iters <= 0) return res;
   const double target = opts.tol * beta0;
 
   // u = M^{-1} r, w = A u.
@@ -91,10 +90,8 @@ SolveResult cg_pipe(const LinearOperator<Scalar>& A,
     if (k >= 1) {
       // The reduce just waited on carries the recurrence residual of update
       // k (posted one overlapped step after that update): report it now.
-      ++res.iterations;
       res.final_residual = rn;
-      res.residual_history.push_back(rn);
-      if (opts.on_iteration) opts.on_iteration(res.iterations, rn);
+      record_iteration(res, rn, opts.on_iteration);
       if (rn <= target) {
         // Confirm against the true residual (the recurrence drifts), the
         // same safeguard cg() applies; the confirmation norm is blocking.
@@ -172,9 +169,7 @@ SolveResult gmres_pipe(const LinearOperator<Scalar>& A,
   // BEFORE the column is orthogonalized.
   std::vector<std::vector<Scalar>> V(static_cast<size_t>(m) + 1);
   std::vector<std::vector<Scalar>> U(static_cast<size_t>(m) + 1);
-  la::DenseMatrix<Scalar> H(m + 1, m);
-  std::vector<Scalar> cs(static_cast<size_t>(m)), sn(static_cast<size_t>(m));
-  std::vector<Scalar> g(static_cast<size_t>(m) + 1);
+  GivensLsq<Scalar> lsq(m);
   std::vector<Scalar> what(static_cast<size_t>(n)), z(static_cast<size_t>(n));
   std::vector<Scalar> h(static_cast<size_t>(m) + 1);
   std::vector<Scalar> c;  // fused-reduce results (async delivery target)
@@ -185,11 +180,10 @@ SolveResult gmres_pipe(const LinearOperator<Scalar>& A,
   exec::parallel_for(ex, n, [&](index_t i) { r[i] = b[i] - r[i]; });
   const double beta0 = static_cast<double>(la::dist_norm2(dc, r, prof, ex));
   res.initial_residual = beta0;
+  res.final_residual = beta0;
   res.residual_history.push_back(beta0);
-  if (beta0 == 0.0) {
-    res.converged = true;
-    return res;
-  }
+  res.converged = beta0 == 0.0;
+  if (res.converged) return res;
   const double target = opts.tol * beta0;
 
   double beta = beta0;
@@ -197,8 +191,7 @@ SolveResult gmres_pipe(const LinearOperator<Scalar>& A,
     // --- restart cycle ---
     V[0] = r;
     la::dist_scale(dc, V[0], Scalar(1.0 / beta), prof, ex);
-    std::fill(g.begin(), g.end(), Scalar(0));
-    g[0] = static_cast<Scalar>(beta);
+    lsq.reset(beta);
     // Rebuild the second basis head: U[0] = Op(V[0]) -- the one extra
     // operator application each restart cycle costs.
     if (U[0].size() != static_cast<size_t>(n))
@@ -214,7 +207,6 @@ SolveResult gmres_pipe(const LinearOperator<Scalar>& A,
     apply_op(A, prec, U[0], what, z, prof);
 
     index_t j = 0;
-    bool cycle_converged = false;
     for (; j < m && res.iterations < opts.max_iters; ++j) {
       pending.wait();
       // c[0..j] = V[i]^T U[j] (the CGS1 coefficients), c[j+1] = U[j]^T U[j].
@@ -239,9 +231,11 @@ SolveResult gmres_pipe(const LinearOperator<Scalar>& A,
         // The same "twice is enough" safeguard as gmres()'s single-reduce
         // path, applied to both bases; these reductions are BLOCKING (the
         // safeguard trades the overlap for accuracy on the rare trigger).
-        std::vector<std::vector<Scalar>> basis(V.begin(), V.begin() + j + 1);
+        jobs.resize(static_cast<size_t>(j) + 1);
+        for (index_t i = 0; i <= j; ++i)
+          jobs[static_cast<size_t>(i)] = {&V[static_cast<size_t>(i)], &wv};
         std::vector<Scalar> d2;
-        la::dist_multi_dot(dc, basis, wv, d2, prof, ex);
+        la::dist_fused_dots(dc, jobs, d2, prof, ex);
         for (index_t i = 0; i <= j; ++i) {
           la::dist_axpy(dc, -d2[i], V[i], wv, prof, ex);
           la::dist_axpy(dc, -d2[i], U[i], wu, prof, ex);
@@ -252,50 +246,17 @@ SolveResult gmres_pipe(const LinearOperator<Scalar>& A,
         h[j + 1] = std::sqrt(nrm2v);
       }
       if (!(h[j + 1] > Scalar(0))) {
-        // Breakdown: identical handling to gmres() -- rotate the column into
-        // the accumulated Givens basis and close the cycle on it.
-        for (index_t i = 0; i < j; ++i) {
-          const Scalar t = cs[i] * h[i] + sn[i] * h[i + 1];
-          h[i + 1] = -sn[i] * h[i] + cs[i] * h[i + 1];
-          h[i] = t;
-        }
-        for (index_t i = 0; i <= j + 1; ++i)
-          H(i, j) = i <= j ? h[i] : Scalar(0);
-        ++res.iterations;
-        res.residual_history.push_back(std::abs(static_cast<double>(g[j])));
-        if (opts.on_iteration)
-          opts.on_iteration(res.iterations, res.residual_history.back());
+        // Breakdown: close the cycle on the column, as block GMRES does.
+        record_iteration(res, lsq.close_breakdown(j, h), opts.on_iteration);
         ++j;
-        cycle_converged = true;
         break;
       }
-      for (index_t i = 0; i <= j + 1; ++i) H(i, j) = h[i];
       la::dist_scale(dc, wv, Scalar(1) / h[j + 1], prof, ex);
       la::dist_scale(dc, wu, Scalar(1) / h[j + 1], prof, ex);
-
-      // Givens update: identical to gmres().
-      for (index_t i = 0; i < j; ++i) {
-        const Scalar t = cs[i] * H(i, j) + sn[i] * H(i + 1, j);
-        H(i + 1, j) = -sn[i] * H(i, j) + cs[i] * H(i + 1, j);
-        H(i, j) = t;
-      }
-      const Scalar a = H(j, j), bb = H(j + 1, j);
-      const Scalar rho = std::sqrt(a * a + bb * bb);
-      FROSCH_CHECK(rho > Scalar(0), "gmres-pipe: Givens breakdown");
-      cs[j] = a / rho;
-      sn[j] = bb / rho;
-      H(j, j) = rho;
-      H(j + 1, j) = Scalar(0);
-      g[j + 1] = -sn[j] * g[j];
-      g[j] = cs[j] * g[j];
-      ++res.iterations;
-
-      const double rnorm = std::abs(static_cast<double>(g[j + 1]));
-      res.residual_history.push_back(rnorm);
-      if (opts.on_iteration) opts.on_iteration(res.iterations, rnorm);
+      const double rnorm = lsq.rotate(j, h);
+      record_iteration(res, rnorm, opts.on_iteration);
       if (rnorm <= target) {
         ++j;
-        cycle_converged = true;
         break;
       }
       // Pipeline the next pass iff the for loop will actually run it (the
@@ -316,14 +277,7 @@ SolveResult gmres_pipe(const LinearOperator<Scalar>& A,
     }
 
     // Least-squares back-substitution and solution update: as gmres().
-    std::vector<Scalar> y(static_cast<size_t>(j));
-    for (index_t i = j - 1; i >= 0; --i) {
-      Scalar s = g[i];
-      for (index_t k2 = i + 1; k2 < j; ++k2) s -= H(i, k2) * y[k2];
-      y[i] = s / H(i, i);
-    }
-    std::fill(z.begin(), z.end(), Scalar(0));
-    for (index_t i = 0; i < j; ++i) la::dist_axpy(dc, y[i], V[i], z, prof, ex);
+    lsq.correction(j, V, z, dc, prof, ex);
     if (prec) {
       std::vector<Scalar> t(static_cast<size_t>(n));
       prec->apply(z, t, prof);
@@ -340,7 +294,6 @@ SolveResult gmres_pipe(const LinearOperator<Scalar>& A,
       res.converged = true;
       return res;
     }
-    (void)cycle_converged;
   }
   return res;
 }

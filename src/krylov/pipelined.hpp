@@ -11,12 +11,14 @@
 // They are NOT bitwise identical to cg()/gmres(): pipelining rearranges the
 // recurrences (cg-pipe) and the orthogonalization schedule (gmres-pipe), so
 // iteration counts may differ from the non-pipelined methods by design; the
-// golden tests pin them separately.
+// golden tests pin them separately.  They are the only Krylov loops
+// outside the block engine (krylov/block.hpp); gmres_pipe advances the same
+// Givens / least-squares state (GivensLsq, krylov/gmres.hpp) as block GMRES.
 //
 // Async-reduce accounting: cg_pipe posts exactly one async fused all-reduce
 // per pass -- ov_reductions == iterations + 1 (the extra post belongs to the
 // final pass that only reports) -- and gmres_pipe posts exactly one per
-// iteration: ov_reductions == iterations.
+// iteration: ov_reductions == iterations.  A zero iteration cap posts none.
 #pragma once
 
 #include "krylov/cg.hpp"
@@ -44,7 +46,8 @@ SolveResult cg_pipe(const LinearOperator<Scalar>& A,
 /// speculative application What = A M^{-1} U_j; the next basis vector's
 /// norm comes from the Pythagorean identity, with the same "twice is
 /// enough" blocking re-orthogonalization safeguard gmres() applies when
-/// cancellation makes the estimate untrustworthy.  The method is inherently
+/// cancellation makes the estimate untrustworthy (one fused projection
+/// reduction, then an explicit norm).  The method is inherently
 /// single-reduce: GmresOptions::ortho is IGNORED.  Each restart cycle costs
 /// one extra operator application (the U[0] rebuild).  Same initial-guess
 /// contract as gmres().

@@ -2,6 +2,15 @@
 
 namespace frosch::krylov {
 
+const char* to_string(OrthoKind k) {
+  switch (k) {
+    case OrthoKind::MGS: return "mgs";
+    case OrthoKind::CGS2: return "cgs2";
+    case OrthoKind::SingleReduce: return "single-reduce";
+  }
+  return "unknown";
+}
+
 const char* to_string(KrylovMethod k) {
   switch (k) {
     case KrylovMethod::Gmres: return "gmres";
@@ -12,13 +21,7 @@ const char* to_string(KrylovMethod k) {
   return "unknown";
 }
 
-template class GmresSolver<double>;
-template class GmresSolver<float>;
-template class CgSolver<double>;
-template class CgSolver<float>;
-template class GmresPipeSolver<double>;
-template class GmresPipeSolver<float>;
-template class CgPipeSolver<double>;
-template class CgPipeSolver<float>;
+template class KrylovSolver<double>;
+template class KrylovSolver<float>;
 
 }  // namespace frosch::krylov

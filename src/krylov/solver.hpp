@@ -1,6 +1,6 @@
-// Common Krylov-solver interface: one KrylovOptions aggregate covering both
-// methods (selectable by enum or by name through from_string), and an
-// abstract KrylovSolver that the frosch::Solver facade drives -- the Belos
+// Common Krylov-solver interface: one KrylovOptions aggregate covering every
+// method (selectable by enum or by name through from_string), and the one
+// KrylovSolver that the frosch::Solver facade drives -- the Belos
 // SolverManager analogue of the paper's Trilinos stack.
 #pragma once
 
@@ -60,127 +60,55 @@ struct KrylovOptions {
 
 /// A configured iterative method: solves A x = b with an optional right
 /// preconditioner (nullptr for none); x serves as initial guess and result.
+/// One class covers every KrylovMethod and switches on options().method.
 ///
-/// INITIAL-GUESS CONTRACT (gmres and cg, enforced by both): an EMPTY `x`
-/// requests the zero initial guess; an `x` sized like the system is used as
-/// a WARM START (the solve continues from it, and the tolerance is relative
-/// to the residual AT that guess); any other size is an error.  The facade
-/// passes `x` through unchanged, so frosch::Solver::solve has the same
-/// semantics -- warm starts are what SolveSession amortizes across a stream
-/// of related right-hand sides.
+/// INITIAL-GUESS CONTRACT (every method): an EMPTY `x` requests the zero
+/// initial guess; an `x` sized like the system is used as a WARM START (the
+/// solve continues from it, and the tolerance is relative to the residual
+/// AT that guess); any other size is an error.  The facade passes `x`
+/// through unchanged, so frosch::Solver::solve has the same semantics --
+/// warm starts are what SolveSession amortizes across a stream of related
+/// right-hand sides.
 template <class Scalar>
 class KrylovSolver {
  public:
-  virtual ~KrylovSolver() = default;
-  virtual KrylovMethod method() const = 0;
-  virtual const KrylovOptions& options() const = 0;
-  virtual SolveResult solve(const LinearOperator<Scalar>& A,
-                            const LinearOperator<Scalar>* prec,
-                            const std::vector<Scalar>& b,
-                            std::vector<Scalar>& x) const = 0;
+  explicit KrylovSolver(const KrylovOptions& opts = {}) : opts_(opts) {}
+  KrylovMethod method() const { return opts_.method; }
+  const KrylovOptions& options() const { return opts_; }
+
+  SolveResult solve(const LinearOperator<Scalar>& A,
+                    const LinearOperator<Scalar>* prec,
+                    const std::vector<Scalar>& b,
+                    std::vector<Scalar>& x) const {
+    switch (opts_.method) {
+      case KrylovMethod::Gmres:
+        return gmres<Scalar>(A, prec, b, x, opts_.gmres_options());
+      case KrylovMethod::Cg:
+        return cg<Scalar>(A, prec, b, x, opts_.cg_options());
+      case KrylovMethod::GmresPipe:
+        return gmres_pipe<Scalar>(A, prec, b, x, opts_.gmres_options());
+      case KrylovMethod::CgPipe:
+        return cg_pipe<Scalar>(A, prec, b, x, opts_.cg_options());
+    }
+    FROSCH_CHECK(false, "KrylovSolver: unknown method");
+    return {};
+  }
 
   /// Batched multi-RHS solve (see krylov/block.hpp): B.size() systems in
   /// lockstep with per-iteration reductions fused into one collective.
   /// Column c of the result is bitwise identical to solve(A, prec, B[c],
-  /// X[c]) at every (ranks, threads) and any batch composition.
-  virtual BlockSolveResult solve_block(
-      const LinearOperator<Scalar>& A, const LinearOperator<Scalar>* prec,
-      const std::vector<std::vector<Scalar>>& B,
-      std::vector<std::vector<Scalar>>& X) const = 0;
-};
-
-template <class Scalar>
-class GmresSolver final : public KrylovSolver<Scalar> {
- public:
-  explicit GmresSolver(const KrylovOptions& opts = {}) : opts_(opts) {}
-  KrylovMethod method() const override { return KrylovMethod::Gmres; }
-  const KrylovOptions& options() const override { return opts_; }
-  SolveResult solve(const LinearOperator<Scalar>& A,
-                    const LinearOperator<Scalar>* prec,
-                    const std::vector<Scalar>& b,
-                    std::vector<Scalar>& x) const override {
-    return gmres<Scalar>(A, prec, b, x, opts_.gmres_options());
-  }
-  BlockSolveResult solve_block(
-      const LinearOperator<Scalar>& A, const LinearOperator<Scalar>* prec,
-      const std::vector<std::vector<Scalar>>& B,
-      std::vector<std::vector<Scalar>>& X) const override {
+  /// X[c]) at every (ranks, threads) and any batch composition.  The
+  /// pipelined methods solve blocks with their non-pipelined engine: the
+  /// block solve already fuses its reductions across the whole block, so
+  /// the single-column pipelining does not compose with it.
+  BlockSolveResult solve_block(const LinearOperator<Scalar>& A,
+                               const LinearOperator<Scalar>* prec,
+                               const std::vector<std::vector<Scalar>>& B,
+                               std::vector<std::vector<Scalar>>& X) const {
+    if (opts_.method == KrylovMethod::Cg ||
+        opts_.method == KrylovMethod::CgPipe)
+      return block_cg<Scalar>(A, prec, B, X, opts_.cg_options());
     return block_gmres<Scalar>(A, prec, B, X, opts_.gmres_options());
-  }
-
- private:
-  KrylovOptions opts_;
-};
-
-template <class Scalar>
-class CgSolver final : public KrylovSolver<Scalar> {
- public:
-  explicit CgSolver(const KrylovOptions& opts = {}) : opts_(opts) {}
-  KrylovMethod method() const override { return KrylovMethod::Cg; }
-  const KrylovOptions& options() const override { return opts_; }
-  SolveResult solve(const LinearOperator<Scalar>& A,
-                    const LinearOperator<Scalar>* prec,
-                    const std::vector<Scalar>& b,
-                    std::vector<Scalar>& x) const override {
-    return cg<Scalar>(A, prec, b, x, opts_.cg_options());
-  }
-  BlockSolveResult solve_block(
-      const LinearOperator<Scalar>& A, const LinearOperator<Scalar>* prec,
-      const std::vector<std::vector<Scalar>>& B,
-      std::vector<std::vector<Scalar>>& X) const override {
-    return block_cg<Scalar>(A, prec, B, X, opts_.cg_options());
-  }
-
- private:
-  KrylovOptions opts_;
-};
-
-/// Pipelined GMRES (krylov/pipelined.hpp).  The block path falls back to
-/// the non-pipelined block_gmres: the batched solver already fuses its
-/// per-iteration reductions across the whole block, so the single-column
-/// pipelining contract does not compose with it (documented in DESIGN.md).
-template <class Scalar>
-class GmresPipeSolver final : public KrylovSolver<Scalar> {
- public:
-  explicit GmresPipeSolver(const KrylovOptions& opts = {}) : opts_(opts) {}
-  KrylovMethod method() const override { return KrylovMethod::GmresPipe; }
-  const KrylovOptions& options() const override { return opts_; }
-  SolveResult solve(const LinearOperator<Scalar>& A,
-                    const LinearOperator<Scalar>* prec,
-                    const std::vector<Scalar>& b,
-                    std::vector<Scalar>& x) const override {
-    return gmres_pipe<Scalar>(A, prec, b, x, opts_.gmres_options());
-  }
-  BlockSolveResult solve_block(
-      const LinearOperator<Scalar>& A, const LinearOperator<Scalar>* prec,
-      const std::vector<std::vector<Scalar>>& B,
-      std::vector<std::vector<Scalar>>& X) const override {
-    return block_gmres<Scalar>(A, prec, B, X, opts_.gmres_options());
-  }
-
- private:
-  KrylovOptions opts_;
-};
-
-/// Pipelined CG (krylov/pipelined.hpp); block path falls back to block_cg
-/// for the same reason as GmresPipeSolver.
-template <class Scalar>
-class CgPipeSolver final : public KrylovSolver<Scalar> {
- public:
-  explicit CgPipeSolver(const KrylovOptions& opts = {}) : opts_(opts) {}
-  KrylovMethod method() const override { return KrylovMethod::CgPipe; }
-  const KrylovOptions& options() const override { return opts_; }
-  SolveResult solve(const LinearOperator<Scalar>& A,
-                    const LinearOperator<Scalar>* prec,
-                    const std::vector<Scalar>& b,
-                    std::vector<Scalar>& x) const override {
-    return cg_pipe<Scalar>(A, prec, b, x, opts_.cg_options());
-  }
-  BlockSolveResult solve_block(
-      const LinearOperator<Scalar>& A, const LinearOperator<Scalar>* prec,
-      const std::vector<std::vector<Scalar>>& B,
-      std::vector<std::vector<Scalar>>& X) const override {
-    return block_cg<Scalar>(A, prec, B, X, opts_.cg_options());
   }
 
  private:
@@ -190,18 +118,7 @@ class CgPipeSolver final : public KrylovSolver<Scalar> {
 /// Factory covering every KrylovMethod.
 template <class Scalar>
 std::unique_ptr<KrylovSolver<Scalar>> make_krylov(const KrylovOptions& opts) {
-  switch (opts.method) {
-    case KrylovMethod::Gmres:
-      return std::make_unique<GmresSolver<Scalar>>(opts);
-    case KrylovMethod::Cg:
-      return std::make_unique<CgSolver<Scalar>>(opts);
-    case KrylovMethod::GmresPipe:
-      return std::make_unique<GmresPipeSolver<Scalar>>(opts);
-    case KrylovMethod::CgPipe:
-      return std::make_unique<CgPipeSolver<Scalar>>(opts);
-  }
-  FROSCH_CHECK(false, "make_krylov: unknown method");
-  return nullptr;
+  return std::make_unique<KrylovSolver<Scalar>>(opts);
 }
 
 }  // namespace frosch::krylov

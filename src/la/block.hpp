@@ -23,6 +23,7 @@
 // the block (fused all-reduce slots fold independently).
 #pragma once
 
+#include "device/arena.hpp"
 #include "la/dist.hpp"
 
 namespace frosch::la {
@@ -304,8 +305,13 @@ namespace detail {
 /// the problem-size-only chunk grid, then -- for an active context --
 /// reduce(partials, nchunks, njobs) hands them to one all-reduce and each
 /// rank is charged its owned share; an inactive context folds them locally
-/// in chunk order, exactly la::dot / la::multi_dot.  `async` marks the
-/// aggregate reduction as posted nonblocking (ov_reductions).
+/// in chunk order, exactly la::dot.  `async` marks the aggregate reduction
+/// as posted nonblocking (ov_reductions).
+///
+/// Charge: 2K flops per element, and bytes for K + (distinct y operands)
+/// vectors, since a y shared by several jobs streams once.  That is dot's
+/// 2n for one job, (k+1)n for k jobs against one vector, and 2Kn for K
+/// independent pairs.
 template <class Scalar, class ReduceFn>
 void fused_dots(const DistContext& d, const std::vector<DotJob<Scalar>>& jobs,
                 std::vector<Scalar>& out, OpProfile* prof,
@@ -315,12 +321,17 @@ void fused_dots(const DistContext& d, const std::vector<DotJob<Scalar>>& jobs,
   out.assign(K, Scalar(0));
   if (K == 0) return;
   const index_t n = static_cast<index_t>(jobs[0].x->size());
-  for (const auto& jb : jobs) {
-    (void)jb;
-    FROSCH_ASSERT(static_cast<index_t>(jb.x->size()) == n &&
-                      static_cast<index_t>(jb.y->size()) == n,
+  size_t ys = 0;  // distinct y operands; a run sharing one y is checked once
+  for (size_t j = 0; j < K; ++j) {
+    FROSCH_ASSERT(static_cast<index_t>(jobs[j].x->size()) == n &&
+                      static_cast<index_t>(jobs[j].y->size()) == n,
                   "dist_fused_dots: size mismatch");
+    if (j > 0 && jobs[j].y == jobs[j - 1].y) continue;
+    size_t i = 0;
+    while (i < j && jobs[i].y != jobs[j].y) ++i;
+    ys += i == j;
   }
+  const double vecs = static_cast<double>(K + ys);
   const index_t nc = exec::chunk_count(n);
   std::vector<Scalar> partial(static_cast<size_t>(nc) * K, Scalar(0));
   exec::parallel_for(
@@ -339,17 +350,17 @@ void fused_dots(const DistContext& d, const std::vector<DotJob<Scalar>>& jobs,
       /*grain=*/1);
   if (d.active()) {
     reduce(partial.data(), nc, static_cast<int>(K));
-    attribute_elementwise(d, 2.0 * static_cast<double>(K),
-                          2.0 * static_cast<double>(K), sizeof(Scalar));
+    attribute_elementwise(d, 2.0 * static_cast<double>(K), vecs,
+                          sizeof(Scalar));
   } else {
     for (index_t c = 0; c < nc; ++c)
       for (size_t j = 0; j < K; ++j)
         out[j] += partial[static_cast<size_t>(c) * K + j];
+    device::launches(policy, 1);
   }
   if (prof) {
     prof->flops += 2.0 * static_cast<double>(K) * static_cast<double>(n);
-    prof->bytes +=
-        2.0 * static_cast<double>(K) * static_cast<double>(n) * sizeof(Scalar);
+    prof->bytes += vecs * static_cast<double>(n) * sizeof(Scalar);
     prof->launches += 1;
     prof->critical_path += 1;
     prof->work_items += static_cast<double>(n);
@@ -364,9 +375,9 @@ void fused_dots(const DistContext& d, const std::vector<DotJob<Scalar>>& jobs,
 /// the problem-size-only chunk grid and ALL jobs travel in ONE measured
 /// all-reduce (inactive context: folded locally in chunk order).  Job j's
 /// result depends only on job j's vectors -- the slot-ordered fold keeps
-/// each output bitwise identical to a solo dist_dot / dist_multi_dot of the
-/// same vectors, which is what makes block-width-1 Krylov solves bitwise
-/// identical to the single-vector path.
+/// each output bitwise identical to a solo dist_dot of the same vectors,
+/// which is what makes every column of a block Krylov solve independent of
+/// the batch it rides in.
 template <class Scalar>
 void dist_fused_dots(const DistContext& d,
                      const std::vector<DotJob<Scalar>>& jobs,

@@ -7,10 +7,11 @@
 //                   their payloads) a ghost exchange moves.
 //   DistCsrMatrix   per-rank local CSR of the rank's OWNED rows with
 //                   columns renumbered into its local column space.
-//   dist_dot / dist_multi_dot / dist_norm2 / dist_axpy / dist_scale
+//   dist_dot / dist_norm2 / dist_axpy / dist_scale
 //                   Krylov vector kernels on replicated vectors, sharded by
 //                   rank for attribution, reductions routed through
-//                   Communicator::allreduce_slots as measured events.
+//                   Communicator::allreduce_slots as measured events (fused
+//                   batches of dots: dist_fused_dots, la/block.hpp).
 //
 // The per-rank vector storage, the REAL ghost import and the rank-sharded
 // SpMV live in la/block.hpp: one kernel, dist_spmv_multi, serves every
@@ -361,7 +362,7 @@ struct DistCsrMatrix {
 // the exact share a distributed run would compute); the SUMMATION SCHEDULE
 // of reductions is the exec layer's problem-size-only chunk grid, folded in
 // slot order by the communicator, so results are bitwise identical to
-// la::dot / la::multi_dot at every rank and thread count.  Every reduction
+// la::dot at every rank and thread count.  Every reduction
 // is ONE measured all-reduce, however many values are fused into it.
 
 /// Ties a communicator to the row-distribution plan the Krylov kernels
@@ -435,53 +436,6 @@ Scalar dist_norm2(const DistContext& d, const std::vector<Scalar>& x,
                   OpProfile* prof = nullptr,
                   const exec::ExecPolicy& policy = {}) {
   return std::sqrt(dist_dot(d, x, x, prof, policy));
-}
-
-/// Distributed fused multi-dot: k dot products against a common vector,
-/// ONE measured all-reduce carrying all k fused values (the single-reduce
-/// GMRES contract: one wire collective per iteration).
-template <class Scalar>
-void dist_multi_dot(const DistContext& d,
-                    const std::vector<std::vector<Scalar>>& vs,
-                    const std::vector<Scalar>& w, std::vector<Scalar>& out,
-                    OpProfile* prof = nullptr,
-                    const exec::ExecPolicy& policy = {}) {
-  if (!d.active()) {
-    multi_dot(vs, w, out, prof, policy);
-    return;
-  }
-  const size_t k = vs.size();
-  for (size_t j = 0; j < k; ++j)
-    FROSCH_ASSERT(vs[j].size() == w.size(), "dist_multi_dot: size mismatch");
-  const index_t n = static_cast<index_t>(w.size());
-  const index_t nc = exec::chunk_count(n);
-  std::vector<Scalar> partial(static_cast<size_t>(nc) * k, Scalar(0));
-  exec::parallel_for(
-      policy, nc,
-      [&](index_t c) {
-        Scalar* pc = partial.data() + static_cast<size_t>(c) * k;
-        const auto [b, e] = exec::chunk_range(n, nc, c);
-        for (size_t j = 0; j < k; ++j) {
-          const Scalar* vj = vs[j].data();
-          Scalar s(0);
-          for (index_t i = b; i < e; ++i) s += vj[i] * w[i];
-          pc[j] = s;
-        }
-      },
-      /*grain=*/1);
-  out.assign(k, Scalar(0));
-  d.comm->allreduce_slots(partial.data(), nc, static_cast<int>(k), out.data());
-  detail::attribute_elementwise(d, 2.0 * static_cast<double>(k),
-                                static_cast<double>(k) + 1.0, sizeof(Scalar));
-  if (prof) {
-    prof->flops += 2.0 * static_cast<double>(k) * static_cast<double>(n);
-    prof->bytes += (static_cast<double>(k) + 1.0) * static_cast<double>(n) *
-                   sizeof(Scalar);
-    prof->launches += 1;
-    prof->critical_path += 1;
-    prof->work_items += static_cast<double>(n);
-    prof->reductions += 1;  // all k partial sums travel in ONE all-reduce
-  }
 }
 
 /// Distributed axpy: elementwise (no communication), each rank charged its

@@ -7,8 +7,8 @@
 //
 // All kernels execute through the exec layer.  Elementwise kernels are
 // bitwise reproducible at any thread count (disjoint writes); reductions use
-// exec::parallel_reduce's fixed chunk decomposition, so dot/norm2/multi_dot
-// are ALSO bitwise identical across thread counts including serial -- the
+// exec::parallel_reduce's fixed chunk decomposition, so dot/norm2 are
+// ALSO bitwise identical across thread counts including serial -- the
 // property the equivalence tests in test_exec assert.
 #pragma once
 
@@ -81,51 +81,6 @@ template <class Scalar>
 Scalar norm2(const std::vector<Scalar>& x, OpProfile* prof = nullptr,
              const exec::ExecPolicy& policy = {}) {
   return std::sqrt(dot(x, x, prof, policy));
-}
-
-/// Fused multi-dot: k dot products against a common vector, one reduction.
-/// This is the kernel the single-reduce orthogonalization relies on.
-/// Parallelized by chunking the vector length (k is small -- the GMRES
-/// basis size); per-chunk partial sum vectors are combined in chunk order,
-/// so results are bitwise identical at every thread count.
-template <class Scalar>
-void multi_dot(const std::vector<std::vector<Scalar>>& vs,
-               const std::vector<Scalar>& w, std::vector<Scalar>& out,
-               OpProfile* prof = nullptr, const exec::ExecPolicy& policy = {}) {
-  const size_t k = vs.size();
-  for (size_t j = 0; j < k; ++j)
-    FROSCH_ASSERT(vs[j].size() == w.size(), "multi_dot: size mismatch");
-  const index_t n = static_cast<index_t>(w.size());
-  const index_t nc = exec::chunk_count(n);
-  std::vector<std::vector<Scalar>> partial(static_cast<size_t>(nc));
-  exec::parallel_for(
-      policy, nc,
-      [&](index_t c) {
-        auto& pc = partial[c];
-        pc.assign(k, Scalar(0));
-        const auto [b, e] = exec::chunk_range(n, nc, c);
-        for (size_t j = 0; j < k; ++j) {
-          const Scalar* vj = vs[j].data();
-          Scalar s(0);
-          for (index_t i = b; i < e; ++i) s += vj[i] * w[i];
-          pc[j] = s;
-        }
-      },
-      /*grain=*/1);
-  out.assign(k, Scalar(0));
-  for (index_t c = 0; c < nc; ++c)
-    for (size_t j = 0; j < k; ++j) out[j] += partial[c][j];
-  device::launches(policy, 1);
-  if (prof) {
-    prof->flops += 2.0 * static_cast<double>(vs.size()) *
-                   static_cast<double>(w.size());
-    prof->bytes += (static_cast<double>(vs.size()) + 1.0) *
-                   static_cast<double>(w.size()) * sizeof(Scalar);
-    prof->launches += 1;
-    prof->critical_path += 1;
-    prof->work_items += static_cast<double>(w.size());
-    prof->reductions += 1;  // all k partial sums travel in ONE all-reduce
-  }
 }
 
 }  // namespace frosch::la

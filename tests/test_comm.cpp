@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <string>
 
 #include "comm/comm.hpp"
 #include "krylov/operator.hpp"
+#include "la/block.hpp"
 #include "la/dist.hpp"
 #include "la/vector_ops.hpp"
 #include "solver/solver.hpp"
@@ -516,8 +519,11 @@ TEST(DistKernels, DotAndMultiDotBitwiseAcrossRanksAndThreads) {
                                          random_vector(n, 4),
                                          random_vector(n, 5)};
   const double dref = la::dot(x, y);
+  // A multi-dot group: every vs[j] against x in one fused reduction.
+  std::vector<la::DotJob<double>> jobs;
+  for (const auto& v : vs) jobs.push_back({&v, &x});
   std::vector<double> mref;
-  la::multi_dot(vs, x, mref);
+  la::dist_fused_dots(la::DistContext{}, jobs, mref);
   auto A = tridiag(n);  // ownership carrier for the plan
   for (int R : {1, 4, 8}) {
     for (int T : {1, 4}) {
@@ -529,11 +535,11 @@ TEST(DistKernels, DotAndMultiDotBitwiseAcrossRanksAndThreads) {
       const double d = la::dist_dot(dc, x, y, &prof, policy);
       EXPECT_EQ(d, dref) << "R=" << R << " T=" << T;
       std::vector<double> m;
-      la::dist_multi_dot(dc, vs, x, m, &prof, policy);
+      la::dist_fused_dots(dc, jobs, m, &prof, policy);
       ASSERT_EQ(m.size(), mref.size());
       for (size_t j = 0; j < m.size(); ++j) EXPECT_EQ(m[j], mref[j]);
       EXPECT_EQ(la::dist_norm2(dc, x, &prof, policy), la::norm2(x));
-      // dot + multi_dot + norm: three measured all-reduces on every rank.
+      // dot + multi-dot group + norm: three measured all-reduces on every rank.
       for (int r = 0; r < R; ++r)
         EXPECT_EQ(comm.prof(r).reductions, 3) << "R=" << R;
       // Attribution covers the whole vector: per-rank flop shares sum to
@@ -542,6 +548,42 @@ TEST(DistKernels, DotAndMultiDotBitwiseAcrossRanksAndThreads) {
       for (int r = 0; r < R; ++r) fsum += comm.prof(r).flops;
       EXPECT_DOUBLE_EQ(fsum, prof.flops);
     }
+  }
+}
+
+TEST(DistKernels, FusedDotChargesMatchDotMultiDotAndBlockCgForms) {
+  // A fused batch charges 2K flops per element and K + (distinct y) vectors
+  // of traffic, in aggregate and per rank by ownership -- exactly what a
+  // dist_dot (2 vectors), a k-vector multi-dot against one vector (k + 1)
+  // and block CG's K independent pairs (2K) charge.
+  const index_t n = 5000;
+  auto A = tridiag(n);
+  const int R = 4;
+  const auto plan = la::build_halo_plan(A, scattered_ranks(n, R), R);
+  std::vector<std::vector<double>> v;
+  for (unsigned s = 1; s <= 7; ++s) v.push_back(random_vector(n, s));
+  using Jobs = std::vector<la::DotJob<double>>;
+  const std::pair<Jobs, double> shapes[] = {
+      {{{&v[0], &v[1]}}, 2.0},                                  // dist_dot
+      {{{&v[0], &v[3]}, {&v[1], &v[3]}, {&v[2], &v[3]}}, 4.0},  // multi-dot
+      {{{&v[0], &v[3]}, {&v[1], &v[3]}, {&v[3], &v[3]}}, 4.0},  // + w^T w
+      {{{&v[0], &v[1]}, {&v[2], &v[3]}, {&v[4], &v[5]}}, 6.0},  // block CG
+  };
+  for (const auto& [jobs, vecs] : shapes) {
+    comm::SimComm comm(R);
+    la::DistContext dc{&comm, &plan};
+    OpProfile prof;
+    std::vector<double> out;
+    la::dist_fused_dots(dc, jobs, out, &prof);
+    const std::string what = "K=" + std::to_string(jobs.size());
+    EXPECT_EQ(prof.bytes, vecs * n * sizeof(double)) << what;
+    EXPECT_EQ(prof.flops, 2.0 * static_cast<double>(jobs.size()) * n) << what;
+    EXPECT_EQ(prof.reductions, 1) << what;
+    for (int r = 0; r < R; ++r)
+      EXPECT_EQ(comm.prof(r).bytes,
+                vecs * static_cast<double>(plan.owned_count(r)) *
+                    sizeof(double))
+          << what << " rank " << r;
   }
 }
 
@@ -824,12 +866,128 @@ TEST(BlockGmres, Width1BitwiseIdenticalToScalarAcrossRanksAndThreads) {
   }
 }
 
-TEST(BlockGmres, ColumnsMatchSoloSolvesAtAnyBatchComposition) {
-  auto p = test::laplace_problem(16, 2, 2, 2);
+/// FNV-1a over the bytes of a trajectory's residual history and iterate:
+/// the fingerprint the golden digests below pin.
+template <class Scalar>
+std::uint64_t trajectory_digest(const std::vector<double>& history,
+                                const std::vector<Scalar>& x) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](const void* p, size_t bytes) {
+    const auto* c = static_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < bytes; ++i) {
+      h ^= c[i];
+      h *= 1099511628211ull;
+    }
+  };
+  mix(history.data(), history.size() * sizeof(double));
+  mix(x.data(), x.size() * sizeof(Scalar));
+  return h;
+}
+
+// Golden trajectories recorded from the scalar GMRES/CG loops that preceded
+// the single block engine: fixed-length solves (tol 1e-30, 12 iterations)
+// whose iteration count and digest must never move.  The ranks-4 facade
+// runs take the measured distributed reductions; the float runs cover the
+// shared-memory (inactive-context) reductions and a 4-rank context.
+TEST(KrylovGolden, FixedTrajectoriesMatchRecordedDigests) {
+  auto p = test::laplace_problem(8, 2, 2, 1);
   const index_t n = p.A.num_rows();
   SolverConfig cfg;
   cfg.ranks = 4;
-  const size_t w = 4;
+  cfg.krylov.max_iters = 12;
+  cfg.krylov.tol = 1e-30;
+  struct Case {
+    const char* name;
+    krylov::KrylovMethod method;
+    krylov::OrthoKind ortho;
+    index_t restart;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"gmres-sr", krylov::KrylovMethod::Gmres,
+       krylov::OrthoKind::SingleReduce, 30, 0x4d540b5412e4ad87ull},
+      {"gmres-sr-restart5", krylov::KrylovMethod::Gmres,
+       krylov::OrthoKind::SingleReduce, 5, 0x8c3c4dcadfd58a82ull},
+      {"gmres-mgs", krylov::KrylovMethod::Gmres, krylov::OrthoKind::MGS, 30,
+       0xca899e38527b39d6ull},
+      {"gmres-cgs2", krylov::KrylovMethod::Gmres, krylov::OrthoKind::CGS2, 30,
+       0x683d8940e2c373c4ull},
+      {"gmres-mgs-restart5", krylov::KrylovMethod::Gmres,
+       krylov::OrthoKind::MGS, 5, 0x97aa8d96c31b532cull},
+      {"gmres-cgs2-restart5", krylov::KrylovMethod::Gmres,
+       krylov::OrthoKind::CGS2, 5, 0xdc96b2295428ad84ull},
+      {"cg", krylov::KrylovMethod::Cg, krylov::OrthoKind::SingleReduce, 30,
+       0x13de9fd1f2cef248ull},
+  };
+  for (const Case& c : cases) {
+    cfg.krylov.method = c.method;
+    cfg.krylov.ortho = c.ortho;
+    cfg.krylov.restart = c.restart;
+    Solver s(cfg);
+    s.setup(p.A, p.Z, p.owner, p.num_parts);
+    std::vector<double> b(static_cast<size_t>(n), 1.0), x;
+    auto rep = s.solve(b, x);
+    EXPECT_EQ(rep.iterations, 12) << c.name;
+    EXPECT_EQ(trajectory_digest(rep.residual_history, x), c.digest)
+        << c.name << " digest 0x" << std::hex
+        << trajectory_digest(rep.residual_history, x);
+  }
+
+  // Float GMRES, unpreconditioned: shared-memory and 4-rank contexts.
+  const auto Af = p.A.convert<float>();
+  krylov::CsrOperator<float> opf(Af);
+  const std::vector<float> bf(static_cast<size_t>(n), 1.0f);
+  comm::SimComm comm(4);
+  const auto plan = la::build_halo_plan(p.A, scattered_ranks(n, 4), 4);
+  const std::pair<const char*, std::uint64_t> float_cases[] = {
+      {"float-gmres", 0xaf7c4af7a85b1e45ull},
+      {"float-gmres-ranks4", 0xaf7c4af7a85b1e45ull}};
+  for (const auto& [name, digest] : float_cases) {
+    krylov::GmresOptions o;
+    o.max_iters = 12;
+    o.tol = 1e-30;
+    if (std::string(name) == "float-gmres-ranks4")
+      o.dist = la::DistContext{&comm, &plan};
+    std::vector<float> x;
+    auto res = krylov::gmres<float>(opf, nullptr, bf, x, o);
+    EXPECT_EQ(res.iterations, 12) << name;
+    EXPECT_EQ(trajectory_digest(res.residual_history, x), digest)
+        << name << " digest 0x" << std::hex
+        << trajectory_digest(res.residual_history, x);
+  }
+}
+
+/// One batch solve of B against solo solves of each column, each on a
+/// fresh identically-set-up solver: columns converging earlier DEFLATE out
+/// of the lockstep, and each column still reproduces its solo trajectory
+/// bit for bit -- results are independent of the batch composition.
+void expect_batch_matches_solo_solves(const test::MeshProblem& p,
+                                      const SolverConfig& cfg,
+                                      const std::vector<std::vector<double>>& B,
+                                      const std::string& what) {
+  std::vector<Trajectory> refs(B.size());
+  for (size_t c = 0; c < B.size(); ++c) {
+    Solver s(cfg);
+    s.setup(p.A, p.Z, p.owner, p.num_parts);
+    auto rep = s.solve(B[c], refs[c].x);
+    refs[c].iterations = rep.iterations;
+    refs[c].history = rep.residual_history;
+  }
+  Solver sb(cfg);
+  sb.setup(p.A, p.Z, p.owner, p.num_parts);
+  std::vector<std::vector<double>> X;
+  auto reps = sb.solve_batch(B, X);
+  ASSERT_EQ(reps.size(), B.size()) << what;
+  for (size_t c = 0; c < B.size(); ++c) {
+    EXPECT_TRUE(reps[c].converged) << what << " column " << c;
+    Trajectory got{reps[c].iterations, reps[c].residual_history, X[c]};
+    expect_bitwise_equal(got, refs[c],
+                         what + " batch column " + std::to_string(c) +
+                             " vs solo");
+  }
+}
+
+std::vector<std::vector<double>> sine_block(index_t n, size_t w) {
   std::vector<std::vector<double>> B(w);
   for (size_t c = 0; c < w; ++c) {
     B[c].resize(static_cast<size_t>(n));
@@ -837,28 +995,85 @@ TEST(BlockGmres, ColumnsMatchSoloSolvesAtAnyBatchComposition) {
       B[c][static_cast<size_t>(i)] =
           std::sin(0.1 * (i + 1) * static_cast<double>(c + 1));
   }
-  // Solo references, one fresh identically-set-up solver per rhs.
-  std::vector<Trajectory> refs(w);
-  for (size_t c = 0; c < w; ++c) {
-    Solver s(cfg);
-    s.setup(p.A, p.Z, p.owner, p.num_parts);
-    auto rep = s.solve(B[c], refs[c].x);
-    refs[c].iterations = rep.iterations;
-    refs[c].history = rep.residual_history;
+  return B;
+}
+
+constexpr krylov::OrthoKind kOrthoKinds[] = {krylov::OrthoKind::SingleReduce,
+                                             krylov::OrthoKind::MGS,
+                                             krylov::OrthoKind::CGS2};
+
+TEST(BlockGmres, ColumnsMatchSoloSolvesAtAnyBatchComposition) {
+  auto p = test::laplace_problem(16, 2, 2, 2);
+  SolverConfig cfg;
+  cfg.ranks = 4;
+  const auto B = sine_block(p.A.num_rows(), 4);
+  for (krylov::OrthoKind k : kOrthoKinds) {
+    cfg.krylov.ortho = k;
+    expect_batch_matches_solo_solves(p, cfg, B,
+                                     std::string("ortho=") + to_string(k));
   }
-  // One width-4 batch: columns converging earlier DEFLATE out of the
-  // lockstep, and each column still reproduces its solo trajectory bit for
-  // bit -- results are independent of the batch composition.
-  Solver sb(cfg);
-  sb.setup(p.A, p.Z, p.owner, p.num_parts);
-  std::vector<std::vector<double>> X;
-  auto reps = sb.solve_batch(B, X);
-  ASSERT_EQ(reps.size(), w);
-  for (size_t c = 0; c < w; ++c) {
-    EXPECT_TRUE(reps[c].converged) << "column " << c;
-    Trajectory got{reps[c].iterations, reps[c].residual_history, X[c]};
-    expect_bitwise_equal(got, refs[c],
-                         "batch column " + std::to_string(c) + " vs solo");
+}
+
+// The ThreadSanitizer CI case of the fused block orthogonalizations: the
+// per-column MGS / CGS2 / single-reduce reductions on real pool threads.
+TEST(BlockGmres, OrthoCompositionRanks4Threads2UnderThreadPool) {
+  auto p = test::laplace_problem(8, 2, 2, 2);
+  SolverConfig cfg;
+  cfg.ranks = 4;
+  cfg.threads = 2;
+  const auto B = sine_block(p.A.num_rows(), 3);
+  for (krylov::OrthoKind k : kOrthoKinds) {
+    cfg.krylov.ortho = k;
+    expect_batch_matches_solo_solves(p, cfg, B,
+                                     std::string("ortho=") + to_string(k));
+  }
+}
+
+TEST(BlockGmres, FusedCollectivesPerLockstepIterationForEveryOrtho) {
+  // Unpreconditioned fixed 12-iteration trajectories in one restart cycle,
+  // so each lockstep iteration's measured all-reduces are its
+  // orthogonalization's alone: 1 for single-reduce, j + 2 for MGS at step
+  // j, 3 for CGS2 -- whatever the width.  Read on rank 0 at the first
+  // callback of each iteration.
+  auto p = test::laplace_problem(16, 2, 2, 2);
+  SolverConfig cfg;
+  cfg.preconditioner = "none";
+  cfg.ranks = 4;
+  cfg.krylov.max_iters = 12;
+  cfg.krylov.tol = 1e-30;
+  const Solver* live = nullptr;
+  std::vector<count_t> at;  // rank-0 reductions at iteration i's first call
+  cfg.krylov.on_iteration = [&](index_t it, double) {
+    if (static_cast<size_t>(it) == at.size() + 1)
+      at.push_back(live->communicator()->prof(0).reductions);
+  };
+  for (krylov::OrthoKind k : kOrthoKinds) {
+    for (size_t w : {size_t(1), size_t(4)}) {
+      cfg.krylov.ortho = k;
+      Solver solver(cfg);
+      live = &solver;
+      solver.setup(p.A, p.Z, p.owner, p.num_parts);
+      at.clear();
+      std::vector<std::vector<double>> X;
+      auto reps = solver.solve_batch(sine_block(p.A.num_rows(), w), X);
+      const std::string what =
+          std::string("ortho=") + to_string(k) + " width " + std::to_string(w);
+      ASSERT_EQ(at.size(), 12u) << what;
+      count_t sum = 1;  // the fused initial norms
+      for (size_t i = 0; i < 12; ++i) {
+        const count_t expected = k == krylov::OrthoKind::MGS
+                                     ? static_cast<count_t>(i) + 2
+                                 : k == krylov::OrthoKind::CGS2 ? 3
+                                                                : 1;
+        if (i > 0) {
+          EXPECT_EQ(at[i] - at[i - 1], expected) << what << " step " << i;
+        }
+        sum += expected;
+      }
+      // Plus the fused end-of-cycle true-residual norms.
+      EXPECT_EQ(reps[0].rank_krylov[0].reductions, sum + 1) << what;
+      EXPECT_EQ(reps[0].krylov.reductions, sum + 1) << what;
+    }
   }
 }
 

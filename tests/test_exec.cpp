@@ -14,6 +14,7 @@
 #include "direct/multifrontal.hpp"
 #include "exec/exec.hpp"
 #include "ilu/fastilu.hpp"
+#include "la/block.hpp"
 #include "la/spmv.hpp"
 #include "la/vector_ops.hpp"
 #include "solver/solver.hpp"
@@ -208,13 +209,16 @@ TEST(LaKernels, DotAndMultiDotBitwiseAcrossThreadCounts) {
   auto y = random_vector(50001, 2);
   const double ref = la::dot(x, y);
   std::vector<std::vector<double>> vs = {x, y, random_vector(50001, 3)};
+  // A multi-dot group: every vs[j] against y in one fused reduction.
+  std::vector<la::DotJob<double>> jobs;
+  for (const auto& v : vs) jobs.push_back({&v, &y});
   std::vector<double> mref;
-  la::multi_dot(vs, y, mref);
+  la::dist_fused_dots(la::DistContext{}, jobs, mref);
   for (int t : {1, 2, 4, 8}) {
     const auto policy = ExecPolicy::with_threads(t);
     EXPECT_EQ(la::dot(x, y, nullptr, policy), ref) << "threads=" << t;
     std::vector<double> m;
-    la::multi_dot(vs, y, m, nullptr, policy);
+    la::dist_fused_dots(la::DistContext{}, jobs, m, nullptr, policy);
     ASSERT_EQ(m.size(), mref.size());
     for (size_t j = 0; j < m.size(); ++j) EXPECT_EQ(m[j], mref[j]);
   }

@@ -2,13 +2,18 @@
 // equivalence of orthogonalization variants, reduction-count contracts, CG.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "direct/multifrontal.hpp"
 #include "ilu/iluk.hpp"
 #include "krylov/block.hpp"
 #include "krylov/cg.hpp"
 #include "krylov/gmres.hpp"
+#include "krylov/solver.hpp"
 #include "la/ops.hpp"
+#include "solver/solver.hpp"
 #include "support/matrices.hpp"
+#include "support/problems.hpp"
 #include "trisolve/engines.hpp"
 
 namespace frosch::krylov {
@@ -480,6 +485,36 @@ TEST(BlockGmres, BreakdownColumnDeflatesOthersContinue) {
                                "breakdown batch column " + std::to_string(c));
 }
 
+TEST(BlockGmres, EveryOrthoMatchesSoloSolvesAcrossRestartsAndBreakdown) {
+  // Column 0 breaks down after 3 steps and deflates while the others
+  // restart every 4 steps, so the fused MGS projection steps run over a
+  // shrinking column set.  Under every orthogonalization each column
+  // reproduces its solo trajectory bit for bit.
+  auto A = invariant_subspace_matrix(8);
+  CsrOperator<double> op(A);
+  std::vector<std::vector<double>> B{std::vector<double>(8, 0.0),
+                                     random_vector(8, 17),
+                                     random_vector(8, 19)};
+  B[0][0] = 1.0;
+  for (OrthoKind k : {OrthoKind::SingleReduce, OrthoKind::MGS,
+                      OrthoKind::CGS2}) {
+    GmresOptions opts;
+    opts.ortho = k;
+    opts.restart = 4;
+    std::vector<std::vector<double>> solo_x(B.size());
+    std::vector<SolveResult> solo(B.size());
+    for (size_t c = 0; c < B.size(); ++c)
+      solo[c] = gmres<double>(op, nullptr, B[c], solo_x[c], opts);
+    std::vector<std::vector<double>> X;
+    auto br = block_gmres<double>(op, nullptr, B, X, opts);
+    EXPECT_TRUE(br.all_converged()) << to_string(k);
+    for (size_t c = 0; c < B.size(); ++c)
+      expect_column_matches_solo(solo[c], solo_x[c], br.columns[c], X[c],
+                                 std::string(to_string(k)) + " column " +
+                                     std::to_string(c));
+  }
+}
+
 TEST(BlockGmres, HonorsPerColumnInitialGuessContract) {
   auto A = laplace2d(10, 10);
   CsrOperator<double> op(A);
@@ -502,14 +537,127 @@ TEST(BlockGmres, HonorsPerColumnInitialGuessContract) {
   EXPECT_THROW(block_gmres<double>(op, nullptr, B, Xbad), Error);
 }
 
-TEST(BlockGmres, RejectsWidthDependentOrthogonalizations) {
-  auto A = laplace2d(6, 6);
+TEST(BlockGmres, FacadeBatchUnderMgsMatchesSoloSolves) {
+  // Block GMRES takes every orthogonalization: a solve_batch under MGS
+  // (one fused all-reduce per projection step across the columns) gives
+  // each column exactly its solve() trajectory.
+  auto p = test::laplace_problem(8, 2, 2, 1);
+  const index_t n = p.A.num_rows();
+  SolverConfig cfg;
+  cfg.ranks = 4;
+  cfg.krylov.ortho = OrthoKind::MGS;
+  std::vector<std::vector<double>> B(3);
+  for (size_t c = 0; c < B.size(); ++c)
+    B[c] = random_vector(n, static_cast<unsigned>(41 + c));
+  Solver sb(cfg);
+  sb.setup(p.A, p.Z, p.owner, p.num_parts);
+  std::vector<std::vector<double>> X;
+  auto reps = sb.solve_batch(B, X);
+  ASSERT_EQ(reps.size(), B.size());
+  for (size_t c = 0; c < B.size(); ++c) {
+    Solver s(cfg);
+    s.setup(p.A, p.Z, p.owner, p.num_parts);
+    std::vector<double> x;
+    auto rep = s.solve(B[c], x);
+    EXPECT_TRUE(reps[c].converged) << "column " << c;
+    EXPECT_EQ(reps[c].iterations, rep.iterations) << "column " << c;
+    EXPECT_EQ(reps[c].residual_history, rep.residual_history) << "column " << c;
+    ASSERT_EQ(X[c].size(), x.size());
+    EXPECT_EQ(std::memcmp(X[c].data(), x.data(), x.size() * sizeof(double)),
+              0)
+        << "column " << c;
+  }
+}
+
+/// Counts which seam of an operator a solve drives.
+class SeamCounter final : public LinearOperator<double> {
+ public:
+  explicit SeamCounter(const la::CsrMatrix<double>& A) : op_(A) {}
+  index_t rows() const override { return op_.rows(); }
+  index_t cols() const override { return op_.cols(); }
+  mutable count_t single = 0, block = 0;
+
+ protected:
+  void apply_impl(const std::vector<double>& x, std::vector<double>& y,
+                  OpProfile* prof) const override {
+    ++single;
+    op_.apply(x, y, prof);
+  }
+  void apply_columns_impl(const std::vector<const std::vector<double>*>& X,
+                          const std::vector<std::vector<double>*>& Y,
+                          OpProfile* prof) const override {
+    ++block;
+    op_.apply_columns(X, Y, prof);
+  }
+
+ private:
+  CsrOperator<double> op_;
+};
+
+TEST(KrylovSolver, ApplyRuleKeysOnTheSolveWidth) {
+  // A single-rhs solve applies A and M through apply(); a multi-rhs solve
+  // through apply_columns() -- also once deflation leaves one column
+  // active (the zero rhs deflates before the first iteration).
+  auto A = laplace2d(8, 8);
+  const index_t n = A.num_rows();
+  for (KrylovMethod m : EnumTraits<KrylovMethod>::all) {
+    KrylovOptions opts;
+    opts.method = m;
+    const auto solver = make_krylov<double>(opts);
+    SeamCounter op(A), prec(A);  // M = A: any SPD operator will do
+    std::vector<double> x;
+    solver->solve(op, &prec, random_vector(n, 71), x);
+    EXPECT_GT(op.single, 0) << to_string(m);
+    EXPECT_GT(prec.single, 0) << to_string(m);
+    EXPECT_EQ(op.block + prec.block, 0) << to_string(m);
+    op.single = prec.single = 0;
+    std::vector<std::vector<double>> B{random_vector(n, 72),
+                                       std::vector<double>(n, 0.0)},
+        X;
+    solver->solve_block(op, &prec, B, X);
+    EXPECT_GT(op.block, 0) << to_string(m);
+    EXPECT_GT(prec.block, 0) << to_string(m);
+    EXPECT_EQ(op.single + prec.single, 0) << to_string(m);
+  }
+}
+
+TEST(KrylovSolver, ZeroIterationCapRunsNoIteration) {
+  // max_iters = 0 runs no iteration for every method at every width: the
+  // iterate stays at the guess and the final residual is the initial one.
+  auto A = laplace2d(8, 8);
   CsrOperator<double> op(A);
-  std::vector<std::vector<double>> B{random_vector(A.num_rows(), 5)}, X;
-  for (OrthoKind k : {OrthoKind::MGS, OrthoKind::CGS2}) {
-    GmresOptions opts;
-    opts.ortho = k;
-    EXPECT_THROW(block_gmres<double>(op, nullptr, B, X, opts), Error);
+  DirectPrec prec(A);
+  const index_t n = A.num_rows();
+  for (KrylovMethod m : EnumTraits<KrylovMethod>::all) {
+    KrylovOptions opts;
+    opts.method = m;
+    opts.max_iters = 0;
+    const auto solver = make_krylov<double>(opts);
+    for (size_t w : {size_t(1), size_t(3)}) {
+      std::vector<std::vector<double>> B(w), X(w);
+      for (size_t c = 0; c < w; ++c)
+        B[c] = random_vector(n, static_cast<unsigned>(61 + c));
+      std::vector<SolveResult> cols;
+      if (w == 1)
+        cols.push_back(solver->solve(op, &prec, B[0], X[0]));
+      else
+        cols = solver->solve_block(op, &prec, B, X).columns;
+      for (size_t c = 0; c < w; ++c) {
+        const std::string what = std::string(to_string(m)) + " width " +
+                                 std::to_string(w) + " column " +
+                                 std::to_string(c);
+        const auto& r = cols[c];
+        EXPECT_FALSE(r.converged) << what;
+        EXPECT_EQ(r.iterations, 0) << what;
+        EXPECT_GT(r.initial_residual, 0.0) << what;
+        EXPECT_EQ(r.final_residual, r.initial_residual) << what;
+        EXPECT_EQ(r.residual_history,
+                  std::vector<double>{r.initial_residual})
+            << what;
+        EXPECT_EQ(X[c], std::vector<double>(static_cast<size_t>(n), 0.0))
+            << what;
+      }
+    }
   }
 }
 

@@ -317,7 +317,8 @@ TEST(VectorOps, MultiDotOneReduction) {
   std::vector<std::vector<double>> vs{{1, 0, 0}, {0, 1, 0}};
   std::vector<double> w{3, 4, 5}, out;
   OpProfile prof;
-  multi_dot(vs, w, out, &prof);
+  dist_fused_dots<double>(DistContext{}, {{&vs[0], &w}, {&vs[1], &w}}, out,
+                          &prof);
   EXPECT_DOUBLE_EQ(out[0], 3.0);
   EXPECT_DOUBLE_EQ(out[1], 4.0);
   EXPECT_EQ(prof.reductions, 1);

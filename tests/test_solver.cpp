@@ -190,6 +190,23 @@ TEST(SolverConfig, RejectsOutOfRangeValues) {
   }
 }
 
+TEST(SolverConfig, ZeroIterationCapIsAcceptedAndRunsNoIteration) {
+  ParameterList params;
+  params.set("max-iters", 0);
+  const auto cfg = SolverConfig::from_parameters(params);
+  EXPECT_EQ(cfg.krylov.max_iters, 0);
+  auto p = test::laplace_problem(6, 2, 2, 1);
+  Solver solver(cfg);
+  solver.setup(p.A, p.Z, p.owner, p.num_parts);
+  std::vector<double> b(static_cast<size_t>(p.A.num_rows()), 1.0), x;
+  const auto rep = solver.solve(b, x);
+  EXPECT_FALSE(rep.converged);
+  EXPECT_EQ(rep.iterations, 0);
+  EXPECT_GT(rep.initial_residual, 0.0);
+  EXPECT_EQ(rep.final_residual, rep.initial_residual);
+  EXPECT_EQ(rep.residual_history, std::vector<double>{rep.initial_residual});
+}
+
 TEST(SolverConfig, BaseOverlaySemantics) {
   SolverConfig base;
   base.krylov.restart = 99;
