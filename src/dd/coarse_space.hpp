@@ -235,9 +235,9 @@ void extension_solve_columns(const la::CsrMatrix<Scalar>& Wt, index_t w0,
 /// extend_basis call and reused by refresh calls: the per-part interior
 /// index sets, the extracted interior matrices with their value maps into
 /// A, the factorized extension solvers (whose symbolic structure --
-/// ordering, elimination tree, level schedule -- survives a value-only
-/// matrix change), and the structure of the extension right-hand sides
-/// W = A(interior, :) Phi_Gamma.  See DESIGN.md section 9.
+/// ordering, ordered pattern, elimination tree, factor layout -- survives
+/// a value-only matrix change), and the structure of the extension
+/// right-hand sides W = A(interior, :) Phi_Gamma.  See DESIGN.md section 9.
 template <class Scalar>
 struct ExtensionCache {
   bool valid = false;

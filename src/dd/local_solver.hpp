@@ -139,56 +139,41 @@ class LocalSolver {
   /// Numeric factorization + triangular-solve setup.  The trisolve setup is
   /// charged to `trisolve_setup_prof` separately so Fig. 4's breakdown can
   /// show it (it is redone after EVERY numeric factorization for the
-  /// pivoting backend -- the paper's key SuperLU-on-GPU cost).
+  /// pivoting backend -- the paper's key SuperLU-on-GPU cost).  A must have
+  /// the sparsity pattern symbolic() analyzed; its values are gathered into
+  /// the ordered matrix in place.
   void numeric(const la::CsrMatrix<Scalar>& A, OpProfile* factor_prof = nullptr,
                OpProfile* trisolve_setup_prof = nullptr) {
     FROSCH_CHECK(symbolic_done_, "LocalSolver: symbolic() first");
-    FROSCH_CHECK(A.num_rows() == Aord_.num_rows() &&
-                     A.num_entries() == Aord_.num_entries(),
-                 "LocalSolver: numeric pattern differs from symbolic()");
-    if (cfg_.ordering == Ordering::NestedDissection) {
-      Aord_ = la::permute_symmetric(A, perm_);
-    } else {
-      Aord_ = A;
-    }
+    gather_values(A);
     numeric_backend(factor_prof, trisolve_setup_prof);
     stage_factor();
     numeric_done_ = true;
   }
 
-  /// Numeric-only refactorization against the FROZEN symbolic structure
-  /// (ordering, elimination tree / fill pattern, level schedules): the
-  /// numeric overlay of a layered refresh (DESIGN.md section 9).  A must
-  /// have the sparsity pattern of the matrix symbolic() analyzed; only its
-  /// values may differ.  The refreshed values are copied INTO the existing
-  /// ordered matrix so its value-array address -- the device mirror key --
-  /// stays stable, and the value-only PCIe crossing is charged to the
-  /// Factor family (numeric overlay), never Matrix (pattern base).  The
-  /// pivoting backend's factor structure depends on the values (Table I),
-  /// but its fill-reducing ordering depends only on the pattern: it keeps
-  /// perm_ and re-runs the permute and the full numeric phase, as a cold
-  /// numeric setup would (SuperLU's SamePattern mode) -- keeping refreshed
-  /// results bitwise identical to cold ones.
+  /// Numeric-only refactorization against the frozen symbolic structure
+  /// (ordering, ordered pattern, elimination tree / fill pattern, factor
+  /// layout): the numeric overlay of a layered refresh (DESIGN.md section
+  /// 9).  The engines' level schedules are rebuilt by their setup(), as
+  /// after any numeric pass.  A must have the sparsity pattern of the
+  /// matrix symbolic() analyzed; only its values may differ.  The refreshed
+  /// values are gathered INTO the existing ordered matrix so its value-array
+  /// address -- the device mirror key -- stays stable, and the value-only
+  /// PCIe crossing is charged to the Factor family (numeric overlay), never
+  /// Matrix (pattern base).  The pivoting backend's factor structure depends
+  /// on the values (Table I), but its fill-reducing ordering depends only on
+  /// the pattern: it keeps perm_ and re-runs the full numeric phase, as a
+  /// cold numeric setup would (SuperLU's SamePattern mode) -- keeping
+  /// refreshed results bitwise identical to cold ones.
   void numeric_refresh(const la::CsrMatrix<Scalar>& A,
                        OpProfile* factor_prof = nullptr,
                        OpProfile* trisolve_setup_prof = nullptr) {
     FROSCH_CHECK(numeric_done_, "LocalSolver: refresh before numeric()");
-    FROSCH_CHECK(A.num_entries() == Aord_.num_entries(),
-                 "LocalSolver: refresh pattern mismatch");
     if (!symbolic_reusable()) {
       numeric(A, factor_prof, trisolve_setup_prof);
       return;
     }
-    if (cfg_.ordering == Ordering::NestedDissection) {
-      // permute_symmetric is deterministic, so the temporary's value order
-      // matches the cached Aord_'s exactly: a positional copy reproduces
-      // the cold path's ordered matrix bit for bit.
-      la::CsrMatrix<Scalar> tmp = la::permute_symmetric(A, perm_);
-      std::copy(tmp.values().begin(), tmp.values().end(),
-                Aord_.values().begin());
-    } else {
-      std::copy(A.values().begin(), A.values().end(), Aord_.values().begin());
-    }
+    gather_values(A);
     numeric_backend(factor_prof, trisolve_setup_prof);
     stage_factor_refresh();
   }
@@ -262,6 +247,48 @@ class LocalSolver {
   }
 
  private:
+  /// Copies A's values into the ordered matrix in place, O(nnz): each
+  /// original row is scattered into a dense row by its new column index and
+  /// read back along Aord_'s sorted row, so the values land exactly where
+  /// symbolic()'s permute_symmetric put them.  A row-stamp check rejects a
+  /// matrix whose pattern differs from the one symbolic() analyzed.
+  void gather_values(const la::CsrMatrix<Scalar>& A) {
+    const index_t n = Aord_.num_rows();
+    FROSCH_CHECK(A.num_rows() == n && A.num_entries() == Aord_.num_entries(),
+                 "LocalSolver: numeric pattern differs from symbolic() ("
+                     << A.num_rows() << " rows, " << A.num_entries()
+                     << " entries against " << n << ", "
+                     << Aord_.num_entries() << ")");
+    std::vector<Scalar>& vals = Aord_.values();
+    if (perm_.empty()) {
+      FROSCH_CHECK(A.rowptr() == Aord_.rowptr() && A.colind() == Aord_.colind(),
+                   "LocalSolver: numeric pattern differs from symbolic()");
+      std::copy(A.values().begin(), A.values().end(), vals.begin());
+      return;
+    }
+    IndexVector inv(static_cast<size_t>(n)), stamp(static_cast<size_t>(n), -1);
+    std::vector<Scalar> row(static_cast<size_t>(n));
+    for (index_t i = 0; i < n; ++i) inv[perm_[i]] = i;
+    for (index_t i = 0; i < n; ++i) {
+      const index_t old = perm_[i];
+      FROSCH_CHECK(A.row_nnz(old) == Aord_.row_nnz(i),
+                   "LocalSolver: numeric pattern differs from symbolic() in "
+                   "row " << old);
+      for (index_t k = A.row_begin(old); k < A.row_end(old); ++k) {
+        const index_t j = inv[A.col(k)];
+        row[j] = A.val(k);
+        stamp[j] = i;
+      }
+      for (index_t k = Aord_.row_begin(i); k < Aord_.row_end(i); ++k) {
+        const index_t j = Aord_.col(k);
+        FROSCH_CHECK(stamp[j] == i,
+                     "LocalSolver: numeric pattern differs from symbolic() in "
+                     "row " << old);
+        vals[k] = row[j];
+      }
+    }
+  }
+
   /// Backend numeric factorization of the (already ordered) Aord_ plus the
   /// triangular-solve setup: shared by numeric() and numeric_refresh().
   void numeric_backend(OpProfile* factor_prof,
@@ -313,8 +340,8 @@ class LocalSolver {
       arena->invalidate(r, &f);  // host refactorization stales the mirror
       arena->to_device(r, &f, fbytes, device::Xfer::Factor);
     } else {
-      if (staged_input_ != nullptr && staged_input_ != Aord_.values().data())
-        arena->invalidate(r, staged_input_);
+      // The numeric pass rewrote the ordered values on the host.
+      if (staged_input_ != nullptr) arena->invalidate(r, staged_input_);
       if (Aord_.num_entries() > 0) {
         arena->to_device(r, Aord_.values().data(), Aord_.storage_bytes(),
                          device::Xfer::Matrix);

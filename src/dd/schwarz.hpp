@@ -394,7 +394,7 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
     }
 
     // (3) Local numeric refactorizations against the frozen symbolic
-    // structure and level schedules.
+    // structure (the engines rebuild their level schedules).
     {
       std::vector<OpProfile> fac(static_cast<size_t>(decomp_.num_parts));
       std::vector<OpProfile> tri(static_cast<size_t>(decomp_.num_parts));

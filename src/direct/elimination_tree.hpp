@@ -50,57 +50,53 @@ IndexVector tree_postorder(const IndexVector& parent);
 IndexVector tree_levels(const IndexVector& parent, index_t* height);
 
 /// Row-subtree reach: the column pattern of row k of the Cholesky factor L
-/// (excluding the diagonal), in topological (ascending) order.
-/// `marked` is scratch of size n initialized to -1 and restored on exit.
+/// (excluding the diagonal), each etree path in climbing order -- no
+/// particular overall order.  `marked` is scratch of size n, never holding
+/// k on entry (initialize it to -1).
 template <class Scalar>
 void ereach(const la::CsrMatrix<Scalar>& A, index_t k, const IndexVector& parent,
-            IndexVector& out, IndexVector& marked, IndexVector& stack) {
+            IndexVector& out, IndexVector& marked) {
   out.clear();
   marked[k] = k;
   for (index_t p = A.row_begin(k); p < A.row_end(k); ++p) {
-    index_t i = A.col(p);
-    if (i > k) continue;
-    stack.clear();
-    // Climb the etree from i until hitting a marked node.
-    while (marked[i] != k) {
-      stack.push_back(i);
+    // Climb the etree from i until hitting a marked node (k at the latest).
+    for (index_t i = A.col(p); i != -1 && i < k && marked[i] != k;
+         i = parent[i]) {
+      out.push_back(i);
       marked[i] = k;
-      i = parent[i];
-      FROSCH_ASSERT(i != -1 || stack.empty() || true, "ereach climb");
-      if (i == -1) break;
     }
-    // stack holds a root-ward path; emit in reverse for ascending order later.
-    for (auto it = stack.rbegin(); it != stack.rend(); ++it) out.push_back(*it);
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::remove(out.begin(), out.end(), k), out.end());
 }
 
-/// Full symbolic Cholesky: pattern of L (lower triangular with diagonal) in
-/// CSC layout == pattern of L^T rows.  Returns (colptr, rowind) pair packed
-/// into a pattern-only CsrMatrix over "columns" (row i of the result = the
-/// row indices of column i of L, ascending, diagonal first).
-template <class Scalar>
-la::CsrMatrix<char> symbolic_cholesky(const la::CsrMatrix<Scalar>& A,
-                                      const IndexVector& parent) {
+/// Full symbolic Cholesky (CSparse-style, Davis 2006): the pattern of L in
+/// CSC layout == the pattern of U = L^T in CSR, returned as a matrix of
+/// `Out` zeros whose row j lists the row indices of column j of L,
+/// ascending, diagonal first.  Two row-subtree passes: the first counts
+/// each column, the second fills the columns in ascending row order, so
+/// every row of the result comes out sorted.
+template <class Out = char, class Scalar>
+la::CsrMatrix<Out> symbolic_cholesky(const la::CsrMatrix<Scalar>& A,
+                                     const IndexVector& parent) {
   const index_t n = A.num_rows();
-  // First pass: row patterns via ereach, count column sizes.
-  IndexVector marked(static_cast<size_t>(n), -1), stack, row;
-  std::vector<IndexVector> cols(static_cast<size_t>(n));
-  for (index_t j = 0; j < n; ++j) cols[j].push_back(j);  // diagonal
-  for (index_t k = 0; k < n; ++k) {
-    ereach(A, k, parent, row, marked, stack);
-    for (index_t j : row) cols[j].push_back(k);  // L(k, j) != 0
-  }
+  IndexVector marked(static_cast<size_t>(n), -1), row;
   std::vector<index_t> rowptr(static_cast<size_t>(n) + 1, 0);
-  for (index_t j = 0; j < n; ++j)
-    rowptr[j + 1] = rowptr[j] + static_cast<index_t>(cols[j].size());
+  for (index_t k = 0; k < n; ++k) {
+    ereach(A, k, parent, row, marked);
+    ++rowptr[k + 1];  // diagonal
+    for (index_t j : row) ++rowptr[j + 1];  // L(k, j) != 0
+  }
+  for (index_t j = 0; j < n; ++j) rowptr[j + 1] += rowptr[j];
   std::vector<index_t> colind(static_cast<size_t>(rowptr[n]));
-  std::vector<char> vals(static_cast<size_t>(rowptr[n]), 1);
-  for (index_t j = 0; j < n; ++j)
-    std::copy(cols[j].begin(), cols[j].end(), colind.begin() + rowptr[j]);
-  return la::CsrMatrix<char>(n, n, std::move(rowptr), std::move(colind),
-                             std::move(vals));
+  IndexVector next(rowptr.begin(), rowptr.end() - 1);
+  std::fill(marked.begin(), marked.end(), -1);
+  for (index_t k = 0; k < n; ++k) {
+    ereach(A, k, parent, row, marked);
+    colind[next[k]++] = k;
+    for (index_t j : row) colind[next[j]++] = k;
+  }
+  std::vector<Out> vals(colind.size());
+  return la::CsrMatrix<Out>(n, n, std::move(rowptr), std::move(colind),
+                            std::move(vals));
 }
 
 }  // namespace frosch::direct

@@ -18,8 +18,6 @@
 //     on GPUs.
 #pragma once
 
-#include <numeric>
-
 #include "common/op_profile.hpp"
 #include "direct/elimination_tree.hpp"
 #include "direct/factorization.hpp"
@@ -39,20 +37,27 @@ class MultifrontalCholesky {
     const IndexVector parent = elimination_tree(A);
     tree_levels(parent, &tree_height_);
 
-    // Factor pattern: row j of U = L^T lists the rows of column j of L.  The
-    // values of L are a fixed permutation of U's: L.values[r] =
-    // U.values[l_from_u_[r]].
-    const la::CsrMatrix<char> Lpat = symbolic_cholesky(A, parent);
-    const count_t nnz = Lpat.num_entries();
-    IndexVector upos(static_cast<size_t>(nnz));
-    std::iota(upos.begin(), upos.end(), index_t(0));
-    la::CsrMatrix<index_t> Lpos = la::transpose(la::CsrMatrix<index_t>(
-        n_, n_, Lpat.rowptr(), Lpat.colind(), std::move(upos)));
-    fact_.U = la::CsrMatrix<Scalar>(n_, n_, Lpat.rowptr(), Lpat.colind(),
-                                    std::vector<Scalar>(Lpat.colind().size()));
-    fact_.L = la::CsrMatrix<Scalar>(n_, n_, Lpos.rowptr(), Lpos.colind(),
-                                    std::vector<Scalar>(Lpat.colind().size()));
-    l_from_u_ = std::move(Lpos.values());
+    // Factor pattern: row j of U = L^T lists the rows of column j of L.  L
+    // comes from one counting transpose of U, whose value map keeps where
+    // each L entry sits in U: L.values[r] = U.values[l_from_u_[r]].
+    fact_.U = symbolic_cholesky<Scalar>(A, parent);
+    const la::CsrMatrix<Scalar>& U = fact_.U;
+    const count_t nnz = U.num_entries();
+    std::vector<index_t> lptr(static_cast<size_t>(n_) + 1, 0);
+    for (index_t j : U.colind()) ++lptr[j + 1];
+    for (index_t i = 0; i < n_; ++i) lptr[i + 1] += lptr[i];
+    std::vector<index_t> lcol(static_cast<size_t>(nnz));
+    l_from_u_.assign(static_cast<size_t>(nnz), 0);
+    IndexVector next(lptr.begin(), lptr.end() - 1);
+    for (index_t j = 0; j < n_; ++j) {
+      for (index_t p = U.row_begin(j); p < U.row_end(j); ++p) {
+        const index_t r = next[U.col(p)]++;
+        lcol[r] = j;
+        l_from_u_[r] = p;
+      }
+    }
+    fact_.L = la::CsrMatrix<Scalar>(n_, n_, std::move(lptr), std::move(lcol),
+                                    std::vector<Scalar>(U.values().size()));
     fact_.unit_diag_L = false;
     fact_.row_perm_old2new.clear();
     fact_.sn_ptr = detect_supernodes(fact_.U);

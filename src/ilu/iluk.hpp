@@ -1,9 +1,11 @@
 // Level-based incomplete LU factorization ILU(k), the paper's inexact local
 // solver (Section V-B3, Tables IV/V), with the classic two-phase split:
 //
-//   symbolic(A, k)   level-of-fill pattern; depends only on the sparsity
-//                    structure, so it is REUSABLE across numeric calls;
-//   numeric(A)       IKJ-variant numeric factorization on the fixed pattern.
+//   symbolic(A, k)   level-of-fill pattern and its L/U factor layout; both
+//                    depend only on the sparsity structure, so they are
+//                    REUSABLE across numeric calls;
+//   numeric(A)       IKJ-variant numeric factorization writing values into
+//                    the fixed layout.
 //
 // The pattern machinery is shared with FastILU (fastilu.hpp), which performs
 // Chow-Patel Jacobi sweeps on the SAME ILU(k) pattern.
@@ -123,23 +125,77 @@ IlukPattern iluk_symbolic(const la::CsrMatrix<Scalar>& A, int level,
   return pat;
 }
 
+/// The unit-L / U factor layout of an ILU(k) pattern, built once per
+/// pattern: L row i holds the strict-lower pattern entries of row i in
+/// pattern order followed by the stored unit diagonal, U row i the diagonal
+/// and the upper entries.  So pattern row i's entries [rowptr[i], diag_pos[i])
+/// are L row i's leading ones and [diag_pos[i], rowptr[i+1]) are U row i, in
+/// order: a numeric pass writes values straight into the layout.  sn_ptr is
+/// detected on L's columns; `lower_levels` (optional) receives the level
+/// count of L's row dependencies.
+template <class Scalar>
+Factorization<Scalar> ilu_factor_layout(const IlukPattern& pat,
+                                        index_t* lower_levels = nullptr) {
+  const index_t n = pat.n;
+  std::vector<index_t> lptr(static_cast<size_t>(n) + 1, 0);
+  std::vector<index_t> uptr(static_cast<size_t>(n) + 1, 0);
+  for (index_t i = 0; i < n; ++i) {
+    lptr[i + 1] = lptr[i] + (pat.diag_pos[i] - pat.rowptr[i]) + 1;
+    uptr[i + 1] = uptr[i] + (pat.rowptr[i + 1] - pat.diag_pos[i]);
+  }
+  std::vector<index_t> lcol(static_cast<size_t>(lptr[n]));
+  std::vector<index_t> ucol(static_cast<size_t>(uptr[n]));
+  std::vector<Scalar> lval(lcol.size(), Scalar(0));
+  std::vector<Scalar> uval(ucol.size(), Scalar(0));
+  IndexVector level(static_cast<size_t>(n), 1);
+  index_t maxl = n > 0 ? 1 : 0;
+  for (index_t i = 0; i < n; ++i) {
+    index_t l = lptr[i], lv = 1;
+    for (index_t p = pat.rowptr[i]; p < pat.diag_pos[i]; ++p) {
+      lcol[l++] = pat.colind[p];
+      lv = std::max(lv, level[pat.colind[p]] + 1);
+    }
+    lcol[l] = i;
+    lval[l] = Scalar(1);
+    level[i] = lv;
+    maxl = std::max(maxl, lv);
+    std::copy(pat.colind.begin() + pat.diag_pos[i],
+              pat.colind.begin() + pat.rowptr[i + 1],
+              ucol.begin() + uptr[i]);
+  }
+  if (lower_levels) *lower_levels = maxl;
+  Factorization<Scalar> f;
+  f.L = la::CsrMatrix<Scalar>(n, n, std::move(lptr), std::move(lcol),
+                              std::move(lval));
+  f.U = la::CsrMatrix<Scalar>(n, n, std::move(uptr), std::move(ucol),
+                              std::move(uval));
+  f.unit_diag_L = true;
+  f.sn_ptr = direct::detect_supernodes(la::transpose(f.L));
+  return f;
+}
+
 /// Numeric ILU(k) on a fixed pattern (standard level-scheduled SpILU when
 /// run on a GPU; the profile records the row-dependency critical path).
 template <class Scalar>
 class IlukFactorization {
  public:
+  /// The level-of-fill pattern and its L/U factor layout.
   void symbolic(const la::CsrMatrix<Scalar>& A, int level,
                 OpProfile* prof = nullptr) {
     pat_ = iluk_symbolic(A, level, prof);
+    fact_ = ilu_factor_layout<Scalar>(pat_, &lower_levels_);
   }
 
   static constexpr bool symbolic_reusable() { return true; }
   const IlukPattern& pattern() const { return pat_; }
 
+  /// IKJ elimination row by row, each finished row written into the factor
+  /// layout in place (the eliminated rows k < i are read back from U).
   void numeric(const la::CsrMatrix<Scalar>& A, OpProfile* prof = nullptr) {
     FROSCH_CHECK(pat_.n == A.num_rows(), "iluk numeric: pattern mismatch");
     const index_t n = pat_.n;
-    std::vector<Scalar> vals(pat_.colind.size(), Scalar(0));
+    std::vector<Scalar>& Lx = fact_.L.values();
+    std::vector<Scalar>& Ux = fact_.U.values();
     std::vector<Scalar> w(static_cast<size_t>(n), Scalar(0));
     IndexVector wpos(static_cast<size_t>(n), -1);
     double flops = 0.0;
@@ -152,7 +208,10 @@ class IlukFactorization {
       // IKJ elimination over pattern columns k < i (ascending).
       for (index_t p = rb; p < re && pat_.colind[p] < i; ++p) {
         const index_t k = pat_.colind[p];
-        const Scalar ukk = vals[pat_.diag_pos[k]];
+        // U row k is pattern row k from its diagonal on: pattern position
+        // q sits at U position q + off.
+        const index_t off = fact_.U.row_begin(k) - pat_.diag_pos[k];
+        const Scalar ukk = Ux[fact_.U.row_begin(k)];
         FROSCH_CHECK(ukk != Scalar(0), "iluk numeric: zero pivot at " << k);
         const Scalar lik = w[k] / ukk;
         w[k] = lik;
@@ -160,31 +219,31 @@ class IlukFactorization {
         for (index_t q = pat_.diag_pos[k] + 1; q < pat_.rowptr[k + 1]; ++q) {
           const index_t j = pat_.colind[q];
           if (wpos[j] >= 0) {
-            w[j] -= lik * vals[q];
+            w[j] -= lik * Ux[q + off];
             flops += 2.0;
           }
         }
       }
+      Scalar* out = Lx.data() + fact_.L.row_begin(i);
       for (index_t p = rb; p < re; ++p) {
-        vals[p] = w[pat_.colind[p]];
-        w[pat_.colind[p]] = Scalar(0);
-        wpos[pat_.colind[p]] = -1;
+        const index_t j = pat_.colind[p];
+        if (p == pat_.diag_pos[i]) out = Ux.data() + fact_.U.row_begin(i);
+        *out++ = w[j];
+        w[j] = Scalar(0);
+        wpos[j] = -1;
       }
-      FROSCH_CHECK(vals[pat_.diag_pos[i]] != Scalar(0),
+      FROSCH_CHECK(Ux[fact_.U.row_begin(i)] != Scalar(0),
                    "iluk numeric: zero diagonal at row " << i);
     }
-    pack(vals);
     if (prof) {
       prof->flops += flops;
       prof->bytes += A.storage_bytes() +
-                     static_cast<double>(vals.size()) * sizeof(Scalar);
+                     static_cast<double>(pat_.nnz()) * sizeof(Scalar);
       // Standard SpILU on a GPU is level-set scheduled over row
       // dependencies; approximate the critical path with the lower-pattern
-      // level count (computed post hoc on L).
-      index_t nlev = 0;
-      lower_pattern_levels(&nlev);
-      prof->launches += nlev;
-      prof->critical_path += nlev;
+      // level count (fixed at symbolic()).
+      prof->launches += lower_levels_;
+      prof->critical_path += lower_levels_;
       prof->work_items += static_cast<double>(n);
     }
   }
@@ -192,43 +251,9 @@ class IlukFactorization {
   const Factorization<Scalar>& factorization() const { return fact_; }
 
  private:
-  void lower_pattern_levels(index_t* nlev) const {
-    IndexVector level(static_cast<size_t>(pat_.n), 1);
-    index_t maxl = pat_.n > 0 ? 1 : 0;
-    for (index_t i = 0; i < pat_.n; ++i) {
-      index_t lv = 1;
-      for (index_t p = pat_.rowptr[i]; p < pat_.rowptr[i + 1]; ++p) {
-        const index_t j = pat_.colind[p];
-        if (j < i) lv = std::max(lv, level[j] + 1);
-      }
-      level[i] = lv;
-      maxl = std::max(maxl, lv);
-    }
-    *nlev = maxl;
-  }
-
-  void pack(const std::vector<Scalar>& vals) {
-    const index_t n = pat_.n;
-    la::TripletBuilder<Scalar> lb(n, n), ub(n, n);
-    for (index_t i = 0; i < n; ++i) {
-      lb.add(i, i, Scalar(1));
-      for (index_t p = pat_.rowptr[i]; p < pat_.rowptr[i + 1]; ++p) {
-        const index_t j = pat_.colind[p];
-        if (j < i)
-          lb.add(i, j, vals[p]);
-        else
-          ub.add(i, j, vals[p]);
-      }
-    }
-    fact_.L = lb.build();
-    fact_.U = ub.build();
-    fact_.unit_diag_L = true;
-    fact_.row_perm_old2new.clear();
-    fact_.sn_ptr = direct::detect_supernodes(la::transpose(fact_.L));
-  }
-
   IlukPattern pat_;
   Factorization<Scalar> fact_;
+  index_t lower_levels_ = 0;
 };
 
 }  // namespace frosch::ilu

@@ -94,7 +94,7 @@ class Engine {
 
   /// ONE fused all-reduce carrying every queued dot, in queue order.
   const std::vector<Scalar>& reduce() {
-    la::dist_fused_dots(dc_, jobs_, vals_, prof_, ex_);
+    la::dist_fused_dots(dc_, jobs_, vals_, prof_, ex_, &dot_scratch_);
     jobs_.clear();
     return vals_;
   }
@@ -148,6 +148,7 @@ class Engine {
   MutColPtrs<Scalar> outs_;
   std::vector<la::DotJob<Scalar>> jobs_;
   std::vector<Scalar> vals_;
+  std::vector<Scalar> dot_scratch_;  ///< grow-only fused-dot chunk partials
 };
 
 // ---------------------------------------------------------------------------

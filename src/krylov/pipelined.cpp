@@ -68,7 +68,7 @@ SolveResult cg_pipe(const LinearOperator<Scalar>& A,
   A.apply(u, w, prof);
 
   std::vector<la::DotJob<Scalar>> jobs(3);
-  std::vector<Scalar> dots;
+  std::vector<Scalar> dots, dot_scratch;
   Scalar gamma_old(0), alpha_old(0);
   for (index_t k = 0;; ++k) {
     // Post {gamma = (r,u), delta = (w,u), rho = (r,r)} async and overlap the
@@ -76,7 +76,8 @@ SolveResult cg_pipe(const LinearOperator<Scalar>& A,
     jobs[0] = {&r, &u};
     jobs[1] = {&w, &u};
     jobs[2] = {&r, &r};
-    auto pending = la::dist_fused_dots_async(dc, jobs, dots, prof, ex);
+    auto pending = la::dist_fused_dots_async(dc, jobs, dots, prof, ex,
+                                             &dot_scratch);
     if (prec) {
       prec->apply(w, m, prof);
     } else {
@@ -173,6 +174,7 @@ SolveResult gmres_pipe(const LinearOperator<Scalar>& A,
   std::vector<Scalar> what(static_cast<size_t>(n)), z(static_cast<size_t>(n));
   std::vector<Scalar> h(static_cast<size_t>(m) + 1);
   std::vector<Scalar> c;  // fused-reduce results (async delivery target)
+  std::vector<Scalar> dot_scratch;  // grow-only fused-dot chunk partials
   std::vector<la::DotJob<Scalar>> jobs;
 
   std::vector<Scalar> r(static_cast<size_t>(n));
@@ -203,7 +205,8 @@ SolveResult gmres_pipe(const LinearOperator<Scalar>& A,
     jobs.assign(2, {});
     jobs[0] = {&V[0], &U[0]};
     jobs[1] = {&U[0], &U[0]};
-    auto pending = la::dist_fused_dots_async(dc, jobs, c, prof, ex);
+    auto pending =
+        la::dist_fused_dots_async(dc, jobs, c, prof, ex, &dot_scratch);
     apply_op(A, prec, U[0], what, z, prof);
 
     index_t j = 0;
@@ -235,7 +238,7 @@ SolveResult gmres_pipe(const LinearOperator<Scalar>& A,
         for (index_t i = 0; i <= j; ++i)
           jobs[static_cast<size_t>(i)] = {&V[static_cast<size_t>(i)], &wv};
         std::vector<Scalar> d2;
-        la::dist_fused_dots(dc, jobs, d2, prof, ex);
+        la::dist_fused_dots(dc, jobs, d2, prof, ex, &dot_scratch);
         for (index_t i = 0; i <= j; ++i) {
           la::dist_axpy(dc, -d2[i], V[i], wv, prof, ex);
           la::dist_axpy(dc, -d2[i], U[i], wu, prof, ex);
@@ -271,7 +274,8 @@ SolveResult gmres_pipe(const LinearOperator<Scalar>& A,
                                           &U[static_cast<size_t>(j) + 1]};
         jobs[static_cast<size_t>(j) + 2] = {&U[static_cast<size_t>(j) + 1],
                                             &U[static_cast<size_t>(j) + 1]};
-        pending = la::dist_fused_dots_async(dc, jobs, c, prof, ex);
+        pending =
+            la::dist_fused_dots_async(dc, jobs, c, prof, ex, &dot_scratch);
         apply_op(A, prec, U[static_cast<size_t>(j) + 1], what, z, prof);
       }
     }

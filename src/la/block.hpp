@@ -306,7 +306,9 @@ namespace detail {
 /// reduce(partials, nchunks, njobs) hands them to one all-reduce and each
 /// rank is charged its owned share; an inactive context folds them locally
 /// in chunk order, exactly la::dot.  `async` marks the aggregate reduction
-/// as posted nonblocking (ov_reductions).
+/// as posted nonblocking (ov_reductions).  `scratch` (optional) is a
+/// caller-owned, grow-only home for the chunk partials, so repeated calls
+/// allocate nothing.
 ///
 /// Charge: 2K flops per element, and bytes for K + (distinct y operands)
 /// vectors, since a y shared by several jobs streams once.  That is dot's
@@ -316,7 +318,7 @@ template <class Scalar, class ReduceFn>
 void fused_dots(const DistContext& d, const std::vector<DotJob<Scalar>>& jobs,
                 std::vector<Scalar>& out, OpProfile* prof,
                 const exec::ExecPolicy& policy, bool async,
-                ReduceFn&& reduce) {
+                std::vector<Scalar>* scratch, ReduceFn&& reduce) {
   const size_t K = jobs.size();
   out.assign(K, Scalar(0));
   if (K == 0) return;
@@ -333,7 +335,11 @@ void fused_dots(const DistContext& d, const std::vector<DotJob<Scalar>>& jobs,
   }
   const double vecs = static_cast<double>(K + ys);
   const index_t nc = exec::chunk_count(n);
-  std::vector<Scalar> partial(static_cast<size_t>(nc) * K, Scalar(0));
+  // Every chunk writes all K of its slots, so the buffer needs no zeroing.
+  std::vector<Scalar> local;
+  std::vector<Scalar>& partial = scratch ? *scratch : local;
+  if (partial.size() < static_cast<size_t>(nc) * K)
+    partial.resize(static_cast<size_t>(nc) * K);
   exec::parallel_for(
       policy, nc,
       [&](index_t c) {
@@ -382,8 +388,9 @@ template <class Scalar>
 void dist_fused_dots(const DistContext& d,
                      const std::vector<DotJob<Scalar>>& jobs,
                      std::vector<Scalar>& out, OpProfile* prof = nullptr,
-                     const exec::ExecPolicy& policy = {}) {
-  detail::fused_dots(d, jobs, out, prof, policy, /*async=*/false,
+                     const exec::ExecPolicy& policy = {},
+                     std::vector<Scalar>* scratch = nullptr) {
+  detail::fused_dots(d, jobs, out, prof, policy, /*async=*/false, scratch,
                      [&](const Scalar* partial, index_t nc, int K) {
                        d.comm->allreduce_slots(partial, nc, K, out.data());
                      });
@@ -410,7 +417,7 @@ class PendingDots {
   template <class S>
   friend PendingDots<S> dist_fused_dots_async(
       const DistContext&, const std::vector<DotJob<S>>&, std::vector<S>&,
-      OpProfile*, const exec::ExecPolicy&);
+      OpProfile*, const exec::ExecPolicy&, std::vector<S>*);
 
   comm::PendingReduce<Scalar> red_;  ///< inert when the context is inactive
   bool waited_ = false;
@@ -431,10 +438,11 @@ template <class Scalar>
 PendingDots<Scalar> dist_fused_dots_async(
     const DistContext& d, const std::vector<DotJob<Scalar>>& jobs,
     std::vector<Scalar>& out, OpProfile* prof = nullptr,
-    const exec::ExecPolicy& policy = {}) {
+    const exec::ExecPolicy& policy = {},
+    std::vector<Scalar>* scratch = nullptr) {
   PendingDots<Scalar> pending;
   pending.waited_ = jobs.empty();
-  detail::fused_dots(d, jobs, out, prof, policy, /*async=*/true,
+  detail::fused_dots(d, jobs, out, prof, policy, /*async=*/true, scratch,
                      [&](const Scalar* partial, index_t nc, int K) {
                        pending.red_ = d.comm->allreduce_slots_async(
                            partial, nc, K, out.data());

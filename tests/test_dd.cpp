@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <string>
 
 #include "dd/decomposition.hpp"
 #include "dd/half_precision.hpp"
@@ -16,6 +17,7 @@
 #include "graph/partition.hpp"
 #include "krylov/gmres.hpp"
 #include "la/spmv.hpp"
+#include "support/matrices.hpp"
 #include "support/problems.hpp"
 
 namespace frosch::dd {
@@ -714,6 +716,90 @@ TEST(BlockApply, LocalSolverBlockSolveMatchesSolve) {
             EXPECT_EQ(std::memcmp(&X[i * w + c], &x[i], sizeof(double)), 0)
                 << what << " column " << c << " row " << i;
         }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Numeric passes gather the values into the pattern symbolic() fixed.
+
+/// D A D with a positive diagonal D: same pattern, symmetric, still SPD.
+la::CsrMatrix<double> diagonally_scaled(const la::CsrMatrix<double>& A) {
+  la::CsrMatrix<double> B = A;
+  const auto d = [](index_t i) {
+    return 1.0 + 0.05 * static_cast<double>(i % 7);
+  };
+  for (index_t i = 0; i < A.num_rows(); ++i)
+    for (index_t k = A.row_begin(i); k < A.row_end(i); ++k)
+      B.val(k) = d(i) * A.val(k) * d(A.col(k));
+  return B;
+}
+
+TEST(LocalSolverRefresh, RefreshedSolveIsBitwiseTheColdSolve) {
+  auto p = laplace_problem(5, 1, 1, 1);
+  const auto A2 = diagonally_scaled(p.A);
+  const std::vector<double> b = test::random_vector(p.A.num_rows(), 3);
+  for (auto kind : EnumTraits<LocalSolverKind>::all) {
+    for (auto ord : {Ordering::NestedDissection, Ordering::Natural}) {
+      LocalSolverConfig lc;
+      lc.kind = kind;
+      lc.ordering = ord;
+      LocalSolver<double> warm(lc), cold(lc);
+      warm.symbolic(p.A);
+      warm.numeric(p.A);
+      warm.numeric_refresh(A2);
+      cold.symbolic(A2);
+      cold.numeric(A2);
+      std::vector<double> xw, xc;
+      warm.solve(b, xw);
+      cold.solve(b, xc);
+      ASSERT_EQ(xw.size(), xc.size());
+      EXPECT_EQ(std::memcmp(xw.data(), xc.data(), xw.size() * sizeof(double)),
+                0)
+          << to_string(kind) << " / " << to_string(ord);
+    }
+  }
+}
+
+TEST(LocalSolverRefresh, MovedEntryIsRejectedByName) {
+  // Same dimension and entry count, one off-diagonal entry moved to a
+  // column its row did not hold.
+  auto p = laplace_problem(4, 1, 1, 1);
+  const la::CsrMatrix<double>& A = p.A;
+  std::vector<index_t> colind = A.colind();
+  const index_t row = A.num_rows() / 2;
+  index_t moved = -1;
+  for (index_t k = A.row_begin(row); k < A.row_end(row) && moved < 0; ++k)
+    if (A.col(k) != row) moved = k;
+  ASSERT_GE(moved, 0);
+  index_t fresh = 0;
+  while (A.find(row, fresh) >= 0) ++fresh;
+  colind[moved] = fresh;
+  const la::CsrMatrix<double> B(A.num_rows(), A.num_cols(), A.rowptr(),
+                                std::move(colind), A.values());
+  for (auto kind : EnumTraits<LocalSolverKind>::all) {
+    for (auto ord : {Ordering::NestedDissection, Ordering::Natural}) {
+      LocalSolverConfig lc;
+      lc.kind = kind;
+      lc.ordering = ord;
+      LocalSolver<double> solver(lc);
+      solver.symbolic(A);
+      for (int refresh = 0; refresh < 2; ++refresh) {
+        try {
+          if (refresh)
+            solver.numeric_refresh(B);
+          else
+            solver.numeric(B);
+          ADD_FAILURE() << "expected Error: " << to_string(kind) << " / "
+                        << to_string(ord) << " refresh " << refresh;
+        } catch (const Error& e) {
+          EXPECT_NE(std::string(e.what()).find(
+                        "numeric pattern differs from symbolic()"),
+                    std::string::npos)
+              << e.what();
+        }
+        solver.numeric(A);
       }
     }
   }

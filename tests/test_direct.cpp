@@ -91,6 +91,22 @@ TEST(EliminationTree, NdOrderingShrinksTreeHeight) {
   EXPECT_LT(h_nd, h_nat);
 }
 
+/// Nested-dissection ordering of a node-blocked matrix (b dofs per node),
+/// computed on the node quotient graph and expanded blockwise.
+la::CsrMatrix<double> nd_ordered(const la::CsrMatrix<double>& A, index_t b) {
+  const index_t n = A.num_rows(), nq = n / b;
+  la::TripletBuilder<char> qb(nq, nq);
+  for (index_t i = 0; i < n; ++i)
+    for (index_t k = A.row_begin(i); k < A.row_end(i); ++k)
+      if (i / b != A.col(k) / b) qb.add(i / b, A.col(k) / b, 1);
+  const IndexVector qperm =
+      graph::nested_dissection(graph::build_graph(qb.build()));
+  IndexVector perm(static_cast<size_t>(n));
+  for (index_t q = 0; q < nq; ++q)
+    for (index_t c = 0; c < b; ++c) perm[q * b + c] = qperm[q] * b + c;
+  return la::permute_symmetric(A, perm);
+}
+
 TEST(SymbolicCholesky, PatternContainsMatrixLowerTriangle) {
   auto A = laplace2d(5, 5);
   auto parent = elimination_tree(A);
@@ -104,6 +120,94 @@ TEST(SymbolicCholesky, PatternContainsMatrixLowerTriangle) {
       EXPECT_GE(Lpat.find(j, i), 0) << "missing L(" << i << "," << j << ")";
     }
   }
+}
+
+/// Symbolic Cholesky by brute force: dense boolean elimination of the
+/// lower triangle, L(i, j) set when A(i, j) is or when L(i, k) and L(j, k)
+/// are for some k < j.
+std::vector<std::vector<char>> brute_force_pattern(
+    const la::CsrMatrix<double>& A) {
+  const index_t n = A.num_rows();
+  std::vector<std::vector<char>> M(static_cast<size_t>(n),
+                                   std::vector<char>(static_cast<size_t>(n)));
+  for (index_t i = 0; i < n; ++i) {
+    M[i][i] = 1;
+    for (index_t k = A.row_begin(i); k < A.row_end(i); ++k)
+      if (A.col(k) < i) M[i][A.col(k)] = 1;
+  }
+  for (index_t k = 0; k < n; ++k)
+    for (index_t i = k + 1; i < n; ++i)
+      if (M[i][k])
+        for (index_t j = k + 1; j <= i; ++j)
+          if (M[j][k]) M[i][j] = 1;
+  return M;
+}
+
+/// Checks symbolic_cholesky entry by entry against brute_force_pattern,
+/// then factors A and checks L is U's transpose, value for value.
+void check_symbolic_pattern(const la::CsrMatrix<double>& A) {
+  const index_t n = A.num_rows();
+  ASSERT_LE(n, 300);
+  const auto M = brute_force_pattern(A);
+  const auto U = symbolic_cholesky(A, elimination_tree(A));
+  for (index_t j = 0; j < n; ++j) {
+    IndexVector want;
+    for (index_t i = j; i < n; ++i)
+      if (M[i][j]) want.push_back(i);
+    const IndexVector got(U.colind().begin() + U.row_begin(j),
+                          U.colind().begin() + U.row_end(j));
+    EXPECT_EQ(got, want) << "column " << j << " of L";
+  }
+
+  MultifrontalCholesky<double> chol;
+  chol.symbolic(A);
+  chol.numeric(A);
+  const auto& f = chol.factorization();
+  EXPECT_EQ(f.U.rowptr(), U.rowptr());
+  EXPECT_EQ(f.U.colind(), U.colind());
+  ASSERT_EQ(f.L.num_entries(), f.U.num_entries());
+  for (index_t i = 0; i < n; ++i) {
+    for (index_t r = f.L.row_begin(i); r < f.L.row_end(i); ++r) {
+      const index_t q = f.U.find(f.L.col(r), i);
+      ASSERT_GE(q, 0) << "L(" << i << "," << f.L.col(r) << ") not in U^T";
+      EXPECT_EQ(std::memcmp(&f.L.values()[r], &f.U.values()[q],
+                            sizeof(double)),
+                0)
+          << "L(" << i << "," << f.L.col(r) << ")";
+    }
+  }
+}
+
+/// A symmetric pattern with a dominant diagonal, so it factors.
+la::CsrMatrix<double> symmetric_from(const la::CsrMatrix<double>& B) {
+  const index_t n = B.num_rows();
+  la::TripletBuilder<double> t(n, n);
+  for (index_t i = 0; i < n; ++i) {
+    t.add(i, i, 2.0 * n);
+    for (index_t k = B.row_begin(i); k < B.row_end(i); ++k) {
+      if (B.col(k) == i) continue;
+      t.add(i, B.col(k), -0.5);
+      t.add(B.col(k), i, -0.5);
+    }
+  }
+  return t.build();
+}
+
+TEST(SymbolicCholesky, PatternMatchesBruteForceElimination) {
+  // ND Laplace 3D.
+  check_symbolic_pattern(nd_ordered(test::laplace_problem(6, 1, 1, 1).A, 1));
+  // Node-blocked elasticity, natural node order.
+  check_symbolic_pattern(test::elasticity_problem(3, 1, 1, 1).A);
+  // A natural-order band of half-width 4.
+  la::TripletBuilder<double> band(120, 120);
+  for (index_t i = 0; i < 120; ++i)
+    for (index_t j = std::max<index_t>(0, i - 4);
+         j <= std::min<index_t>(119, i + 4); ++j)
+      band.add(i, j, i == j ? 20.0 : -1.0);
+  check_symbolic_pattern(band.build());
+  // A random symmetric pattern.
+  check_symbolic_pattern(
+      symmetric_from(test::random_sparse(200, 200, 0.02, 5)));
 }
 
 TEST(GpLu, SolvesRandomNonsymmetricSystem) {
@@ -251,22 +355,6 @@ TEST(Supernodes, TrivialOnDiagonalMatrix) {
 
 // ---------------------------------------------------------------------------
 // Supernodal fronts of the multifrontal Cholesky.
-
-/// Nested-dissection ordering of a node-blocked matrix (b dofs per node),
-/// computed on the node quotient graph and expanded blockwise.
-la::CsrMatrix<double> nd_ordered(const la::CsrMatrix<double>& A, index_t b) {
-  const index_t n = A.num_rows(), nq = n / b;
-  la::TripletBuilder<char> qb(nq, nq);
-  for (index_t i = 0; i < n; ++i)
-    for (index_t k = A.row_begin(i); k < A.row_end(i); ++k)
-      if (i / b != A.col(k) / b) qb.add(i / b, A.col(k) / b, 1);
-  const IndexVector qperm =
-      graph::nested_dissection(graph::build_graph(qb.build()));
-  IndexVector perm(static_cast<size_t>(n));
-  for (index_t q = 0; q < nq; ++q)
-    for (index_t c = 0; c < b; ++c) perm[q * b + c] = qperm[q] * b + c;
-  return la::permute_symmetric(A, perm);
-}
 
 index_t widest_supernode(const Factorization<double>& f) {
   index_t w = 0;
