@@ -65,14 +65,15 @@ struct Factorization {
   }
 };
 
-/// Detects "fundamental supernodes" in a lower-triangular CSR factor:
+/// Detects "fundamental supernodes" in a lower-triangular factor:
 /// maximal runs of consecutive columns j, j+1 where column j+1's structure
 /// equals column j's minus the diagonal entry (so the block is dense
-/// trapezoidal).  Works on the column pattern, i.e. on transpose(L)'s rows;
-/// callers pass L^T (== U for symmetric factors).
-template <class Scalar>
-IndexVector detect_supernodes(const la::CsrMatrix<Scalar>& Lt) {
-  const index_t n = Lt.num_rows();
+/// trapezoidal).  Works on the column pattern: column j's rows, ascending
+/// and diagonal first, are ind[ptr[j]..ptr[j+1]), i.e. the CSR pattern of
+/// L^T.
+inline IndexVector detect_supernodes(const IndexVector& ptr,
+                                     const IndexVector& ind) {
+  const index_t n = static_cast<index_t>(ptr.size()) - 1;
   IndexVector sn_ptr{0};
   index_t j = 0;
   while (j < n) {
@@ -80,23 +81,24 @@ IndexVector detect_supernodes(const la::CsrMatrix<Scalar>& Lt) {
     while (end < n) {
       // Column `end` must have the structure of column `end-1` minus its
       // first (diagonal) entry.
-      const index_t b1 = Lt.row_begin(end - 1), e1 = Lt.row_end(end - 1);
-      const index_t b2 = Lt.row_begin(end), e2 = Lt.row_end(end);
+      const index_t b1 = ptr[end - 1], e1 = ptr[end];
+      const index_t b2 = ptr[end], e2 = ptr[end + 1];
       if ((e1 - b1) != (e2 - b2) + 1) break;
-      bool same = true;
-      for (index_t k = 0; k < e2 - b2; ++k) {
-        if (Lt.col(b1 + 1 + k) != Lt.col(b2 + k)) {
-          same = false;
-          break;
-        }
-      }
-      if (!same) break;
+      if (!std::equal(ind.begin() + b2, ind.begin() + e2,
+                      ind.begin() + b1 + 1))
+        break;
       ++end;
     }
     sn_ptr.push_back(end);
     j = end;
   }
   return sn_ptr;
+}
+
+/// detect_supernodes on Lt = L^T (== U for symmetric factors).
+template <class Scalar>
+IndexVector detect_supernodes(const la::CsrMatrix<Scalar>& Lt) {
+  return detect_supernodes(Lt.rowptr(), Lt.colind());
 }
 
 }  // namespace frosch::direct

@@ -155,6 +155,7 @@ class MultifrontalCholesky {
     std::vector<size_t> pending_off;
     size_t top = 0;
     IndexVector pos(static_cast<size_t>(n_), -1);  // global row -> front row
+    std::vector<Scalar> pack;  // SYRK pack scratch, grown by the widest front
 
     for (const index_t s : sn_post_) {
       const index_t f = sn_ptr[s], k = sn_ptr[s + 1] - f;
@@ -197,7 +198,7 @@ class MultifrontalCholesky {
         pending.resize(first);
         pending_off.resize(first);
       }
-      la::partial_cholesky(F, sz, k);
+      la::partial_cholesky(F, sz, k, pack);
       for (index_t c = 0; c < k; ++c)
         std::copy(F + c * ld + c, F + (c + 1) * ld,
                   Ux.begin() + U.row_begin(f + c));

@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -84,36 +86,78 @@ namespace detail {
 inline constexpr index_t kTile = 4;
 
 /// Packs the rows x kb block whose (i, p) entry is a[i * rs + p * cs] into
-/// kTile-row strips, each stored depth-major (the kTile entries of one
-/// depth p adjacent); the last strip is zero padded.
+/// kTile-row strips at out, each stored depth-major (the kTile entries of
+/// one depth p adjacent); the last strip is zero padded, and out holds
+/// ceil(rows / kTile) * kTile * kb values.  The loops walk the unit stride,
+/// so a column-major block packs by columns and a transposed one by rows.
 template <class Scalar>
 void pack_strips(index_t rows, index_t kb, const Scalar* a, size_t rs,
-                 size_t cs, std::vector<Scalar>& out) {
+                 size_t cs, Scalar* out) {
   constexpr index_t T = kTile;
-  out.assign(static_cast<size_t>((rows + T - 1) / T) * kb * T, Scalar(0));
-  for (index_t p = 0; p < kb; ++p)
-    for (index_t i = 0; i < rows; ++i)
-      out[(static_cast<size_t>(i / T) * kb + p) * T + i % T] =
-          a[i * rs + p * cs];
+  for (index_t s = 0; s < rows; s += T, out += static_cast<size_t>(kb) * T) {
+    const index_t w = std::min(T, rows - s);
+    const Scalar* as = a + s * rs;
+    if (cs == 1) {
+      for (index_t ii = 0; ii < w; ++ii)
+        for (index_t p = 0; p < kb; ++p) out[p * T + ii] = as[ii * rs + p];
+    } else {
+      for (index_t p = 0; p < kb; ++p)
+        for (index_t ii = 0; ii < w; ++ii)
+          out[p * T + ii] = as[ii * rs + p * cs];
+    }
+    for (index_t p = 0; w < T && p < kb; ++p)
+      std::fill(out + p * T + w, out + (p + 1) * T, Scalar(0));
+  }
+}
+
+/// Grows buf (never shrinks it) to hold the strip packing of rows x kb.
+template <class Scalar>
+Scalar* strip_buffer(std::vector<Scalar>& buf, index_t rows, index_t kb) {
+  const size_t need =
+      static_cast<size_t>((rows + kTile - 1) / kTile) * kTile * kb;
+  if (buf.size() < need) buf.resize(need);
+  return buf.data();
 }
 
 /// One register tile of C -= L * R^T: lb and rb are packed strips of depth
 /// kb; c is the tile's corner in a column-major array of leading dimension
 /// ld, of which the leading iw x jw part exists.  With `lower`, only the
-/// entries on and below the tile's diagonal are written.  The products
+/// entries on and below the tile's diagonal are written.  Every entry sums
+/// its kb products in depth order from zero, then leaves C once, so neither
+/// the tile shape nor the vector width changes a bit.  The products
 /// accumulate in double at every precision: summed in float, the rank-kb
 /// updates doubled the residual of float Cholesky fronts, and the float
-/// Schwarz preconditioner needed 35 GMRES iterations instead of 26.
+/// Schwarz preconditioner needed 35 GMRES iterations instead of 26.  Double
+/// tiles run on two-lane GCC/Clang vector types, a separate multiply and add
+/// per lane as in the scalar loop: a 1240^2 lu_factor_blocked takes
+/// 0.116-0.122 s with them and 0.141-0.148 s with the scalar loop (x86-64,
+/// SSE2 build, best of 5).  Eight accumulators fit the sixteen SSE2
+/// registers with room for the operands; an 8x4 tile spills.
 template <class Scalar>
 void tile_subtract(const Scalar* lb, const Scalar* rb, index_t kb, Scalar* c,
                    size_t ld, index_t iw, index_t jw, bool lower) {
   using Acc = double;
   constexpr index_t T = kTile;
   std::array<Acc, T * T> acc{};
-  for (index_t p = 0; p < kb; ++p)
-    for (index_t jj = 0; jj < T; ++jj)
-      for (index_t ii = 0; ii < T; ++ii)
-        acc[jj * T + ii] += Acc(lb[p * T + ii]) * Acc(rb[p * T + jj]);
+  if constexpr (std::is_same_v<Scalar, double>) {
+    typedef double v2 __attribute__((vector_size(16)));
+    v2 vacc[T][T / 2] = {};
+    for (index_t p = 0; p < kb; ++p) {
+      v2 a[T / 2];
+      std::memcpy(a, lb + p * T, sizeof a);
+      for (index_t jj = 0; jj < T; ++jj) {
+        const double b = rb[p * T + jj];
+        const v2 bb = {b, b};
+        for (index_t v = 0; v < T / 2; ++v) vacc[jj][v] += a[v] * bb;
+      }
+    }
+    std::memcpy(acc.data(), vacc, sizeof vacc);
+  } else {
+    for (index_t p = 0; p < kb; ++p)
+      for (index_t jj = 0; jj < T; ++jj)
+        for (index_t ii = 0; ii < T; ++ii)
+          acc[jj * T + ii] += Acc(lb[p * T + ii]) * Acc(rb[p * T + jj]);
+  }
   for (index_t jj = 0; jj < jw; ++jj) {
     Scalar* cc = c + jj * ld;
     for (index_t ii = lower ? jj : 0; ii < iw; ++ii)
@@ -123,22 +167,26 @@ void tile_subtract(const Scalar* lb, const Scalar* rb, index_t kb, Scalar* c,
 
 /// Trailing update C -= L * U of a blocked LU step, column-major with
 /// leading dimension ld: C is rows x cols at c, L is rows x kb at l, U is
-/// kb x cols at u.  Both operands are packed into 4-wide strips so a 4x4
-/// register tile accumulates over the whole panel depth from contiguous
-/// memory (the GEMM micro-kernel shape; zero padding covers the edges).
+/// kb x cols at u.  Both operands are packed into kTile-wide strips (L by
+/// columns, U by rows, each reading contiguous memory) so a register tile
+/// accumulates over the whole panel depth from contiguous memory (the GEMM
+/// micro-kernel shape; zero padding covers the edges).  lp and up are
+/// grow-only pack buffers owned by the caller.
 template <class Scalar>
 void lu_trailing_update(index_t rows, index_t cols, index_t kb,
                         const Scalar* l, const Scalar* u, Scalar* c,
-                        index_t ld) {
+                        index_t ld, std::vector<Scalar>& lp,
+                        std::vector<Scalar>& up) {
   constexpr index_t T = kTile;
   const size_t ldz = static_cast<size_t>(ld);
-  std::vector<Scalar> lp, up;
-  pack_strips(rows, kb, l, 1, ldz, lp);
-  pack_strips(cols, kb, u, ldz, 1, up);
+  Scalar* lb = strip_buffer(lp, rows, kb);
+  Scalar* ub = strip_buffer(up, cols, kb);
+  pack_strips(rows, kb, l, 1, ldz, lb);
+  pack_strips(cols, kb, u, ldz, 1, ub);
   for (index_t js = 0; js * T < cols; ++js)
     for (index_t is = 0; is * T < rows; ++is)
-      tile_subtract(lp.data() + static_cast<size_t>(is) * kb * T,
-                    up.data() + static_cast<size_t>(js) * kb * T, kb,
+      tile_subtract(lb + static_cast<size_t>(is) * kb * T,
+                    ub + static_cast<size_t>(js) * kb * T, kb,
                     c + (js * T) * ldz + is * T, ldz,
                     std::min<index_t>(T, rows - is * T),
                     std::min<index_t>(T, cols - js * T), false);
@@ -146,19 +194,20 @@ void lu_trailing_update(index_t rows, index_t cols, index_t kb,
 
 /// Symmetric trailing update of a blocked Cholesky step: the LOWER triangle
 /// of the rows x rows block at c (leading dimension ld) gets -= L * L^T,
-/// where L is rows x kb at l.  One packing serves both operands, and tiles
-/// above the diagonal are skipped (the SYRK shape of lu_trailing_update).
+/// where L is rows x kb at l.  One packing (into the caller's grow-only
+/// buffer lp) serves both operands, and tiles above the diagonal are
+/// skipped (the SYRK shape of lu_trailing_update).
 template <class Scalar>
 void syrk_trailing_update(index_t rows, index_t kb, const Scalar* l, Scalar* c,
-                          index_t ld) {
+                          index_t ld, std::vector<Scalar>& lp) {
   constexpr index_t T = kTile;
   const size_t ldz = static_cast<size_t>(ld);
-  std::vector<Scalar> lp;
-  pack_strips(rows, kb, l, 1, ldz, lp);
+  Scalar* lb = strip_buffer(lp, rows, kb);
+  pack_strips(rows, kb, l, 1, ldz, lb);
   for (index_t js = 0; js * T < rows; ++js)
     for (index_t is = js; is * T < rows; ++is)
-      tile_subtract(lp.data() + static_cast<size_t>(is) * kb * T,
-                    lp.data() + static_cast<size_t>(js) * kb * T, kb,
+      tile_subtract(lb + static_cast<size_t>(is) * kb * T,
+                    lb + static_cast<size_t>(js) * kb * T, kb,
                     c + (js * T) * ldz + is * T, ldz,
                     std::min<index_t>(T, rows - is * T),
                     std::min<index_t>(T, rows - js * T), is == js);
@@ -166,14 +215,16 @@ void syrk_trailing_update(index_t rows, index_t kb, const Scalar* l, Scalar* c,
 
 }  // namespace detail
 
-/// Panel width of lu_factor_blocked and partial_cholesky.  Widths from 16
-/// to 96 time within run noise of each other on a 1240^2 LU block (x86-64,
-/// SSE2 build).
+/// Panel width of lu_factor_blocked and partial_cholesky.  Part of the
+/// bitwise contract: each trailing entry sums one panel's products before
+/// it leaves the accumulator, so the width fixes the grouping of every
+/// update (the golden digests in tests/test_la.cpp pin it).
 inline constexpr index_t kLuPanelWidth = 32;
 
 /// In-place partial Cholesky of the leading k x k block of the symmetric
 /// n x n column-major array f, updating the trailing (n-k) x (n-k) block
-/// with the Schur complement.  Blocked right-looking:
+/// with the Schur complement (`pack` is the caller's grow-only scratch of
+/// the SYRK update).  Blocked right-looking:
 /// each panel of kLuPanelWidth pivot columns is factored unblocked, then
 /// everything right of it gets one rank-kb SYRK update.  On return the
 /// lower leading block holds L (including the sqrt diagonal), the
@@ -182,7 +233,8 @@ inline constexpr index_t kLuPanelWidth = 32;
 /// referenced or updated, as in LAPACK 'L' routines).  Serial and
 /// deterministic.  Throws on a non-positive pivot.
 template <class Scalar>
-void partial_cholesky(Scalar* f, index_t n, index_t k) {
+void partial_cholesky(Scalar* f, index_t n, index_t k,
+                      std::vector<Scalar>& pack) {
   const size_t ldz = static_cast<size_t>(n);
   for (index_t p = 0; p < k; p += kLuPanelWidth) {
     const index_t pend = std::min(p + kLuPanelWidth, k);
@@ -202,7 +254,7 @@ void partial_cholesky(Scalar* f, index_t n, index_t k) {
     }
     if (pend < n)
       detail::syrk_trailing_update(n - pend, pend - p, f + p * ldz + pend,
-                                   f + pend * ldz + pend, n);
+                                   f + pend * ldz + pend, n, pack);
   }
 }
 
@@ -212,7 +264,8 @@ void partial_cholesky(DenseMatrix<Scalar>& F, index_t k,
                       OpProfile* prof = nullptr) {
   const index_t n = F.num_rows();
   FROSCH_CHECK(F.num_cols() == n && k <= n, "partial_cholesky: bad dims");
-  partial_cholesky(F.data(), n, k);
+  std::vector<Scalar> pack;
+  partial_cholesky(F.data(), n, k, pack);
   if (prof) {
     double flops = 0.0;
     for (index_t j = 0; j < k; ++j)
@@ -243,6 +296,7 @@ index_t lu_factor_blocked(DenseMatrix<Scalar>& A, IndexVector& piv,
   const index_t n = A.num_rows();
   FROSCH_CHECK(A.num_cols() == n, "lu_factor_blocked: square only");
   piv.assign(static_cast<size_t>(n), 0);
+  std::vector<Scalar> lp, up;  // trailing-update packs, sized by panel 1
   double flops = 0.0, words = 0.0;
   index_t failed = -1;
   for (index_t k = 0; k < n && failed < 0; k += nb) {
@@ -265,7 +319,7 @@ index_t lu_factor_blocked(DenseMatrix<Scalar>& A, IndexVector& piv,
       }
       piv[j] = p;
       if (p != j)
-        for (index_t c = 0; c < n; ++c) std::swap(A(j, c), A(p, c));
+        for (index_t c = k; c < kend; ++c) std::swap(A(j, c), A(p, c));
       const Scalar d = A(j, j);
       Scalar* cj = A.col(j);
       for (index_t i = j + 1; i < n; ++i) cj[i] = cj[i] / d;
@@ -277,10 +331,21 @@ index_t lu_factor_blocked(DenseMatrix<Scalar>& A, IndexVector& piv,
       flops += double(n - j - 1) * (1.0 + 2.0 * double(kend - j - 1));
     }
     words += 2.0 * m * double(kb);  // panel read + write
-    if (failed >= 0 || kend == n) break;
+    // ---- the panel's row swaps outside it, a column at a time (LAPACK's
+    // laswp): swaps move values exactly, so deferring them changes no bit.
+    const index_t jend = failed >= 0 ? failed : kend;
+    auto swap_rows = [&](Scalar* cc) {
+      for (index_t j = k; j < jend; ++j) std::swap(cc[j], cc[piv[j]]);
+    };
+    for (index_t c = 0; c < k; ++c) swap_rows(A.col(c));
+    if (failed >= 0 || kend == n) {
+      for (index_t c = kend; c < n; ++c) swap_rows(A.col(c));
+      break;
+    }
     // ---- U12 = L11^{-1} A12 (unit lower triangular solve) ---------------
     for (index_t c = kend; c < n; ++c) {
       Scalar* cc = A.col(c);
+      swap_rows(cc);
       for (index_t p = k; p < kend; ++p) {
         const Scalar u = cc[p];
         const Scalar* lp = A.col(p);
@@ -290,7 +355,8 @@ index_t lu_factor_blocked(DenseMatrix<Scalar>& A, IndexVector& piv,
     flops += double(kb) * double(kb - 1) * rest;
     // ---- A22 -= L21 * U12 ---------------------------------------------
     detail::lu_trailing_update(n - kend, n - kend, kb, A.col(k) + kend,
-                               A.col(kend) + k, A.col(kend) + kend, n);
+                               A.col(kend) + k, A.col(kend) + kend, n, lp,
+                               up);
     flops += 2.0 * rest * rest * double(kb);
     words += 2.0 * double(kb) * rest + rest * double(kb) + 2.0 * rest * rest;
   }

@@ -3,6 +3,7 @@
 // coordinates, so call sites stay one line.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "la/csr.hpp"
@@ -33,5 +34,23 @@ void expect_residual_below(const la::CsrMatrix<double>& A,
 
 /// True when p is a permutation of {0, ..., n-1}.
 bool is_permutation(const IndexVector& p, index_t n);
+
+/// FNV-1a over the bytes of the count values at p, continuing from h: the
+/// fingerprint golden digests use to pin bitwise results.
+template <class T>
+std::uint64_t fnv1a(const T* p, size_t count,
+                    std::uint64_t h = 1469598103934665603ull) {
+  const auto* c = reinterpret_cast<const unsigned char*>(p);
+  for (size_t i = 0; i < count * sizeof(T); ++i) {
+    h ^= c[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+template <class T>
+std::uint64_t fnv1a(const std::vector<T>& v,
+                    std::uint64_t h = 1469598103934665603ull) {
+  return fnv1a(v.data(), v.size(), h);
+}
 
 }  // namespace frosch::test

@@ -2,6 +2,7 @@
 // symbolic Cholesky, Gilbert-Peierls LU, multifrontal Cholesky, supernodes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <random>
 #include <string>
@@ -13,6 +14,7 @@
 #include "graph/nested_dissection.hpp"
 #include "la/ops.hpp"
 #include "la/spmv.hpp"
+#include "support/compare.hpp"
 #include "support/matrices.hpp"
 #include "support/problems.hpp"
 #include "trisolve/substitution.hpp"
@@ -666,6 +668,89 @@ double dense_tail_solve_error(index_t n) {
 TEST(GpLuDenseTail, FloatAndHalfSolveToTheirPrecision) {
   EXPECT_LT(dense_tail_solve_error<float>(48), 1e-5);
   EXPECT_LT(dense_tail_solve_error<half>(48), 1e-2);
+}
+
+/// The ND-ordered 3-D Laplace matrix whose tail starts among the top
+/// separators (j0 = 950 of 1210).
+la::CsrMatrix<double> nd_laplace3d() {
+  auto A = test::laplace_problem(10, 1, 1, 1).A;
+  return la::permute_symmetric(A,
+                               graph::nested_dissection(graph::build_graph(A)));
+}
+
+/// A row-reversed diagonally dominant random matrix (500 rows, about 3.4
+/// nonzeros per row): every row pivots away from its position, and the
+/// sparse head is a deep, branching pivot DAG (j0 = 270).
+la::CsrMatrix<double> reversed_random_nonsym() {
+  const auto A = random_nonsym(500, 0.005, 1);
+  const index_t n = A.num_rows();
+  la::TripletBuilder<double> b(n, n);
+  for (index_t i = 0; i < n; ++i)
+    for (index_t p = A.row_begin(i); p < A.row_end(i); ++p)
+      b.add(n - 1 - i, A.col(p), A.val(p));
+  return b.build();
+}
+
+/// FNV-1a digest of a GP-LU factorization: L and U patterns and values,
+/// the row permutation and the supernode partition.
+std::uint64_t factor_digest(const Factorization<double>& f) {
+  std::uint64_t h = test::fnv1a(f.L.colind());
+  h = test::fnv1a(f.L.values(), h);
+  h = test::fnv1a(f.U.colind(), h);
+  h = test::fnv1a(f.U.values(), h);
+  h = test::fnv1a(f.row_perm_old2new, h);
+  return test::fnv1a(f.sn_ptr, h);
+}
+
+// Every bit of the factors is pinned: these digests were recorded from the
+// column-path reach (a DFS over L's full row graph) with the tail
+// re-expanded into per-column lists.  The ND case runs 260 tail columns
+// through the reach over the 950 sparse pivots, the dense case 80 over 20.
+// In the reversed random case 230 tail columns reach over 270 pivots whose
+// DAG branches, so another topological order of the same updates (e.g.
+// each node's children visited in reverse) rounds differently.
+TEST(GpLuDenseTail, FactorsMatchRecordedDigests) {
+  GilbertPeierlsLu<double> lu;
+  const auto nd = nd_laplace3d();
+  lu.symbolic(nd);
+  lu.numeric(nd);
+  EXPECT_EQ(lu.dense_tail_start(), 950);
+  EXPECT_EQ(factor_digest(lu.factorization()), 0x8100b7993a770478ull)
+      << "ND Laplace digest 0x" << std::hex
+      << factor_digest(lu.factorization());
+
+  const auto dense = dense_random<double>(100, 41, 0.0, -1, 20);
+  lu.symbolic(dense);
+  lu.numeric(dense);
+  EXPECT_EQ(lu.dense_tail_start(), 20);
+  EXPECT_EQ(factor_digest(lu.factorization()), 0x6b003560fef2aec6ull)
+      << "dense_random digest 0x" << std::hex
+      << factor_digest(lu.factorization());
+
+  const auto rev = reversed_random_nonsym();
+  lu.symbolic(rev);
+  lu.numeric(rev);
+  EXPECT_EQ(lu.dense_tail_start(), 270);
+  EXPECT_EQ(factor_digest(lu.factorization()), 0xaf26ee60b6541e1bull)
+      << "reversed random digest 0x" << std::hex
+      << factor_digest(lu.factorization());
+}
+
+TEST(GpLuDenseTail, SupernodesMatchTheTransposedFactor) {
+  const la::CsrMatrix<double> cases[] = {
+      nd_laplace3d(), dense_random<double>(100, 41, 0.0, -1, 20),
+      dense_random<double>(GilbertPeierlsLu<double>::kDenseTailMin - 1, 5),
+      reversed_random_nonsym()};
+  const index_t tails[] = {950, 20,
+                           GilbertPeierlsLu<double>::kDenseTailMin - 1, 270};
+  for (size_t c = 0; c < 4; ++c) {
+    GilbertPeierlsLu<double> lu;
+    lu.symbolic(cases[c]);
+    lu.numeric(cases[c]);
+    EXPECT_EQ(lu.dense_tail_start(), tails[c]);
+    const auto& f = lu.factorization();
+    EXPECT_EQ(f.sn_ptr, detect_supernodes(la::transpose(f.L))) << "case " << c;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <random>
 
@@ -14,6 +15,7 @@
 #include "la/ops.hpp"
 #include "la/spmv.hpp"
 #include "la/vector_ops.hpp"
+#include "support/compare.hpp"
 #include "support/matrices.hpp"
 #include "support/problems.hpp"
 
@@ -423,6 +425,44 @@ TEST(Dense, BlockedLuFactorsAcrossPanels) {
   DenseMatrix<double> Zb = Z;
   EXPECT_EQ(lu_factor_blocked(Zb, piv), 70);
   EXPECT_THROW(lu_factor(Z, piv), Error);
+}
+
+/// FNV-1a digest of lu_factor_blocked's array and pivots on a uniform
+/// [-1, 1] n x n matrix.
+template <class Scalar>
+std::uint64_t blocked_lu_digest(index_t n) {
+  DenseMatrix<Scalar> A(n, n);
+  std::mt19937 rng(static_cast<unsigned>(n));
+  std::uniform_real_distribution<double> u(-1, 1);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < n; ++i) A(i, j) = Scalar(u(rng));
+  IndexVector piv;
+  EXPECT_EQ(lu_factor_blocked(A, piv), -1);
+  return test::fnv1a(piv, test::fnv1a(A.data(), size_t(n) * size_t(n)));
+}
+
+// The panel width and the order of every trailing update's sums are part of
+// the bitwise contract: these digests were recorded from the 4x4-tile
+// kernel, and a faster update must reproduce every byte.  The sizes cover
+// a lone panel, a ragged one, one full panel, panel + 1, and tails of 6
+// and 1 columns beyond whole panels.
+TEST(Dense, BlockedLuMatchesRecordedDigests) {
+  const std::pair<index_t, std::uint64_t> dbl[] = {
+      {1, 0x7f127736f79b9840ull},   {7, 0xa1eecd69945abf68ull},
+      {31, 0xe772bbc01e06349dull},  {33, 0x388b0b77a4f416baull},
+      {70, 0x5cab351a3493b1a2ull},  {129, 0x9b3c13d94da1fce1ull}};
+  const std::pair<index_t, std::uint64_t> flt[] = {
+      {1, 0x473afe3c020327a3ull},   {7, 0xd145488b65899550ull},
+      {31, 0xd4bae6cf946e9c59ull},  {33, 0x2c8cccffc190a785ull},
+      {70, 0x3b5594d4a9ebd1f3ull},  {129, 0xe65a4134c8dab831ull}};
+  for (const auto& [n, digest] : dbl)
+    EXPECT_EQ(blocked_lu_digest<double>(n), digest)
+        << "double n = " << n << " digest 0x" << std::hex
+        << blocked_lu_digest<double>(n);
+  for (const auto& [n, digest] : flt)
+    EXPECT_EQ(blocked_lu_digest<float>(n), digest)
+        << "float n = " << n << " digest 0x" << std::hex
+        << blocked_lu_digest<float>(n);
 }
 
 TEST(Dense, GemmAccumMatchesReference) {
