@@ -83,15 +83,18 @@ class CoarseLevelSolver {
  public:
   virtual ~CoarseLevelSolver() = default;
 
-  /// Full (re)build against a freshly assembled coarse matrix: subset
+  /// The preconditioner's FIRST numeric pass after symbolic_setup: a full
+  /// (re)build against the freshly assembled coarse matrix -- subset
   /// setup, symbolic + numeric factorization of every level.
   virtual void numeric_setup(const la::CsrMatrix<Scalar>& A0,
                              comm::Communicator& comm, OpProfile* prof) = 0;
 
-  /// Numeric-only refresh: re-factor each level against its cached
-  /// symbolic layers (DESIGN.md section 9).  Falls back to a full rebuild
-  /// when the coarse pattern changed; either way the refreshed hierarchy
-  /// solves bitwise identically to a cold numeric_setup on the same A0.
+  /// Every LATER numeric pass: re-factor each level against its cached
+  /// symbolic layers (DESIGN.md section 9).  A coarse pattern that moved
+  /// with the values (a basis column appeared or vanished) makes the level
+  /// rebuild as numeric_setup does; either way the hierarchy solves bitwise
+  /// identically to a numeric_setup on the same A0.  The two entry points
+  /// stay apart so their work is charged to the setup and refresh phases.
   virtual void numeric_refresh(const la::CsrMatrix<Scalar>& A0,
                                comm::Communicator& comm, OpProfile* prof) = 0;
 
@@ -155,7 +158,7 @@ class DirectCoarseSolver final : public CoarseLevelSolver<Scalar> {
       return;
     }
     charged(prof, numeric_prof_,
-            [&] { solver_->numeric_refresh(A0, prof, prof); });
+            [&] { solver_->numeric(A0, prof, prof); });
     // The subset already holds the pattern; only the values move.
     if (sub_)
       sub_->gather(static_cast<double>(A0.num_entries()) * sizeof(Scalar) /

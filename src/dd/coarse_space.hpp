@@ -166,17 +166,17 @@ la::CsrMatrix<Scalar> build_interface_basis(const InterfacePartition& ip,
 
 namespace detail {
 
-/// The per-part extension solves shared by the cold and refresh paths of
-/// extend_basis: finds the coarse columns active on this interior, solves
-/// them against -W(I, c) in interleaved blocks of up to kRowTile columns
-/// (one block sweep each, charged as such), and collects the nonzero Phi
-/// entries column by column.  `Wt` is W's transpose, so row c lists column
-/// c's (W row, value) pairs; this interior owns W's rows [w0, w0 + |I|),
-/// one per dof of `I`.  The blocks are built and read in the solver's
-/// fill-reducing ordering, so the solver needs no block workspace of its
-/// own.  Every column of a block solve is bitwise its solo solve, and
-/// identical inputs produce identical entries, which is what extends the
-/// bitwise refresh contract through the coarse basis.
+/// The per-part extension solves of extend_basis, cold or warm: finds the
+/// coarse columns active on this interior, solves them against -W(I, c) in
+/// interleaved blocks of up to kRowTile columns (one block sweep each,
+/// charged as such), and collects the nonzero Phi entries column by column.
+/// `Wt` is W's transpose, so row c lists column c's (W row, value) pairs;
+/// this interior owns W's rows [w0, w0 + |I|), one per dof of `I`.  The
+/// blocks are built and read in the solver's fill-reducing ordering, so the
+/// solver needs no block workspace of its own.  Every column of a block
+/// solve is bitwise its solo solve, and identical inputs produce identical
+/// entries, which is what extends the bitwise refresh contract through the
+/// coarse basis.
 template <class Scalar, class Entry>
 void extension_solve_columns(const la::CsrMatrix<Scalar>& Wt, index_t w0,
                              const IndexVector& I, index_t nc,
@@ -232,7 +232,7 @@ void extension_solve_columns(const la::CsrMatrix<Scalar>& Wt, index_t w0,
 }  // namespace detail
 
 /// Base-layer cache of the interior-extension solves, filled by a cold
-/// extend_basis call and reused by refresh calls: the per-part interior
+/// extend_basis call and reused by warm ones: the per-part interior
 /// index sets, the extracted interior matrices with their value maps into
 /// A, the factorized extension solvers (whose symbolic structure --
 /// ordering, ordered pattern, elimination tree, factor layout -- survives
@@ -270,32 +270,32 @@ struct ExtensionCache {
 /// its Phi entries privately and they are merged in part order, so the
 /// result is identical at every thread count.
 ///
-/// Layered setup (DESIGN.md section 9): a cold call fills `cache`; a call
-/// with `refresh` set reuses the cached interior sets, extracted matrices,
-/// solver symbolic structure and W structure, re-running only the numeric
-/// overlays (W's numeric product, value copy-up, numeric refactorization,
-/// extension solves).  The refreshed Phi is bitwise identical to a cold
-/// rebuild on the same matrix -- the right-hand sides and solves are
-/// value-dependent and always re-run.
+/// Layered setup (DESIGN.md section 9): a call on an invalid `cache` fills
+/// it; a call on a valid one reuses the cached interior sets, extracted
+/// matrices, solver symbolic structure and W structure, re-running only the
+/// numeric overlays (W's numeric product, value copy-up, numeric
+/// refactorization, extension solves).  The caller invalidates the cache
+/// when A's pattern, the decomposition or Phi_Gamma changes.  A warm Phi is
+/// bitwise identical to a cold rebuild on the same matrix -- the right-hand
+/// sides and solves are value-dependent and always re-run.
 template <class Scalar>
 la::CsrMatrix<Scalar> extend_basis(const la::CsrMatrix<Scalar>& A,
                                    const Decomposition& d,
                                    const InterfacePartition& ip,
                                    const la::CsrMatrix<Scalar>& phi_gamma,
                                    const LocalSolverConfig& ext_cfg,
-                                   ExtensionCache<Scalar>& cache, bool refresh,
+                                   ExtensionCache<Scalar>& cache,
                                    CoarseSpaceProfile* prof = nullptr,
                                    const exec::ExecPolicy& policy = {},
                                    const IndexVector* part_ranks = nullptr) {
   const index_t n = A.num_rows();
   const index_t nc = phi_gamma.num_cols();
-  FROSCH_CHECK(!refresh || cache.valid,
-               "extend_basis: refresh requires a filled cache");
+  const bool warm = cache.valid;
   if (prof) prof->per_part_extension.assign(static_cast<size_t>(d.num_parts), {});
 
   // Interior dofs per part and the rows of W (base layers: cached across
-  // refreshes).
-  if (!refresh) {
+  // warm calls).
+  if (!warm) {
     cache.reset(d.num_parts);
     for (index_t i : ip.interior_dofs) cache.interior_of[d.owner[i]].push_back(i);
     for (index_t p = 0; p < d.num_parts; ++p) {
@@ -308,9 +308,9 @@ la::CsrMatrix<Scalar> extend_basis(const la::CsrMatrix<Scalar>& A,
   // RHS for all extensions at once: W = A * Phi_Gamma on the interior rows
   // only (Phi_Gamma vanishes on the interior, so they equal A_IGamma
   // Phi_Gamma).  Its structure is pattern-derived; its values are recomputed
-  // on refresh.
+  // on every call.
   OpProfile* rhs_prof = prof ? &prof->extension_rhs : nullptr;
-  if (!refresh)
+  if (!warm)
     cache.W = la::spgemm_symbolic(A, phi_gamma, &cache.W_rows, rhs_prof);
   la::spgemm_numeric(A, phi_gamma, cache.W, &cache.W_rows, rhs_prof);
   const la::CsrMatrix<Scalar> Wt = la::transpose(cache.W);
@@ -332,11 +332,10 @@ la::CsrMatrix<Scalar> extend_basis(const la::CsrMatrix<Scalar>& A,
         OpProfile* pprof = prof ? &part_prof[p] : nullptr;
         // Local interior matrix and its factorization.  The extension solve
         // stages and launches on the GPU of the part's owning virtual rank.
-        if (refresh) {
-          // Copy up only the interior values and refactor numerically
-          // against the frozen symbolic structure.
+        // Warm: copy up only the interior values; the numeric pass then
+        // refactors against the frozen symbolic structure.
+        if (warm) {
           la::refresh_submatrix_values(A, cache.App_map[p], cache.App[p]);
-          cache.solvers[p]->numeric_refresh(cache.App[p], pprof, pprof);
         } else {
           LocalSolverConfig pcfg = ext_cfg;
           if (part_ranks != nullptr)
@@ -344,8 +343,8 @@ la::CsrMatrix<Scalar> extend_basis(const la::CsrMatrix<Scalar>& A,
           cache.App[p] = la::extract_submatrix(A, I, I, &cache.App_map[p]);
           cache.solvers[p] = std::make_unique<LocalSolver<Scalar>>(pcfg);
           cache.solvers[p]->symbolic(cache.App[p], pprof);
-          cache.solvers[p]->numeric(cache.App[p], pprof, pprof);
         }
+        cache.solvers[p]->numeric(cache.App[p], pprof, pprof);
         detail::extension_solve_columns(Wt, cache.W_first[p], I, nc,
                                         *cache.solvers[p], part_entries[p],
                                         pprof);

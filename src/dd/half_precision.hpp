@@ -107,26 +107,12 @@ class HalfPrecisionPreconditioner final : public Preconditioner<Scalar> {
 
   void numeric_setup(const la::CsrMatrix<Scalar>& A,
                      const la::DenseMatrix<double>& Z) override {
-    FROSCH_CHECK(A.num_entries() == Ah_.num_entries() &&
-                     A.num_rows() == Ah_.num_rows(),
-                 "HalfPrecisionPreconditioner: numeric pattern differs from "
-                 "symbolic");
-    const auto& v = A.values();
-    auto& vh = Ah_.values();
-    for (size_t i = 0; i < v.size(); ++i) vh[i] = static_cast<Half>(v[i]);
-    inner_.numeric_setup(Ah_, Z);
+    inner_.numeric_setup(downcast(A), Z);
   }
 
   bool numeric_refresh(const la::CsrMatrix<Scalar>& A,
                        const la::DenseMatrix<double>& Z) override {
-    FROSCH_CHECK(A.num_entries() == Ah_.num_entries() &&
-                     A.num_rows() == Ah_.num_rows(),
-                 "HalfPrecisionPreconditioner: refresh pattern differs from "
-                 "symbolic");
-    const auto& v = A.values();
-    auto& vh = Ah_.values();
-    for (size_t i = 0; i < v.size(); ++i) vh[i] = static_cast<Half>(v[i]);
-    return inner_.numeric_refresh(Ah_, Z);
+    return inner_.numeric_refresh(downcast(A), Z);
   }
 
   void apply_impl(const std::vector<Scalar>& x, std::vector<Scalar>& y,
@@ -154,6 +140,18 @@ class HalfPrecisionPreconditioner final : public Preconditioner<Scalar> {
   }
 
  private:
+  /// Casts A's values into the cached downcast (same pattern).
+  const la::CsrMatrix<Half>& downcast(const la::CsrMatrix<Scalar>& A) {
+    FROSCH_CHECK(A.num_entries() == Ah_.num_entries() &&
+                     A.num_rows() == Ah_.num_rows(),
+                 "HalfPrecisionPreconditioner: numeric pattern differs from "
+                 "symbolic");
+    const auto& v = A.values();
+    auto& vh = Ah_.values();
+    for (size_t i = 0; i < v.size(); ++i) vh[i] = static_cast<Half>(v[i]);
+    return Ah_;
+  }
+
   la::CsrMatrix<Half> Ah_;  ///< cached downcast; values refreshed per numeric
   SchwarzPreconditioner<Half> inner_;
   HalfPrecisionOperator<Scalar, Half> cast_;

@@ -129,19 +129,23 @@ class LocalSolver {
         break;
     }
     symbolic_done_ = true;
-  }
-
-  /// Whether the symbolic phase survives a numeric refactorization.
-  bool symbolic_reusable() const {
-    return cfg_.kind != LocalSolverKind::SuperLULike;
+    numeric_done_ = false;
   }
 
   /// Numeric factorization + triangular-solve setup.  The trisolve setup is
   /// charged to `trisolve_setup_prof` separately so Fig. 4's breakdown can
   /// show it (it is redone after EVERY numeric factorization for the
   /// pivoting backend -- the paper's key SuperLU-on-GPU cost).  A must have
-  /// the sparsity pattern symbolic() analyzed; its values are gathered into
-  /// the ordered matrix in place.
+  /// the sparsity pattern symbolic() analyzed; only its values may differ.
+  /// They are gathered INTO the ordered matrix, so its value-array address
+  /// -- the device mirror key -- stays stable, and every pass refactors
+  /// against the frozen symbolic structure (ordering, ordered pattern,
+  /// elimination tree / fill pattern, factor layout): the numeric overlay of
+  /// a layered refresh (DESIGN.md section 9).  The pivoting backend's factor
+  /// structure depends on the values (Table I), but its fill-reducing
+  /// ordering depends only on the pattern: it keeps perm_ and re-runs its
+  /// whole numeric phase (SuperLU's SamePattern mode).  Passes on equal
+  /// values give bitwise equal factors, whichever pass they are.
   void numeric(const la::CsrMatrix<Scalar>& A, OpProfile* factor_prof = nullptr,
                OpProfile* trisolve_setup_prof = nullptr) {
     FROSCH_CHECK(symbolic_done_, "LocalSolver: symbolic() first");
@@ -149,33 +153,6 @@ class LocalSolver {
     numeric_backend(factor_prof, trisolve_setup_prof);
     stage_factor();
     numeric_done_ = true;
-  }
-
-  /// Numeric-only refactorization against the frozen symbolic structure
-  /// (ordering, ordered pattern, elimination tree / fill pattern, factor
-  /// layout): the numeric overlay of a layered refresh (DESIGN.md section
-  /// 9).  The engines' level schedules are rebuilt by their setup(), as
-  /// after any numeric pass.  A must have the sparsity pattern of the
-  /// matrix symbolic() analyzed; only its values may differ.  The refreshed
-  /// values are gathered INTO the existing ordered matrix so its value-array
-  /// address -- the device mirror key -- stays stable, and the value-only
-  /// PCIe crossing is charged to the Factor family (numeric overlay), never
-  /// Matrix (pattern base).  The pivoting backend's factor structure depends
-  /// on the values (Table I), but its fill-reducing ordering depends only on
-  /// the pattern: it keeps perm_ and re-runs the full numeric phase, as a
-  /// cold numeric setup would (SuperLU's SamePattern mode) -- keeping
-  /// refreshed results bitwise identical to cold ones.
-  void numeric_refresh(const la::CsrMatrix<Scalar>& A,
-                       OpProfile* factor_prof = nullptr,
-                       OpProfile* trisolve_setup_prof = nullptr) {
-    FROSCH_CHECK(numeric_done_, "LocalSolver: refresh before numeric()");
-    if (!symbolic_reusable()) {
-      numeric(A, factor_prof, trisolve_setup_prof);
-      return;
-    }
-    gather_values(A);
-    numeric_backend(factor_prof, trisolve_setup_prof);
-    stage_factor_refresh();
   }
 
   /// x = A^{-1} b (exactly or approximately, per the configured backend):
@@ -290,7 +267,7 @@ class LocalSolver {
   }
 
   /// Backend numeric factorization of the (already ordered) Aord_ plus the
-  /// triangular-solve setup: shared by numeric() and numeric_refresh().
+  /// triangular-solve setup.
   void numeric_backend(OpProfile* factor_prof,
                        OpProfile* trisolve_setup_prof) {
     switch (cfg_.kind) {
@@ -326,10 +303,14 @@ class LocalSolver {
   /// Device placement of the numeric phase (the paper's Table I split):
   /// the pivoting SuperLU backend factors on the HOST, so its factor (and
   /// the freshly rebuilt trisolve schedule) crosses PCIe after EVERY
-  /// numeric refresh; the device-native backends (Tacho, SpILU, FastILU)
-  /// consume the subdomain matrix on the device -- it is staged up once --
-  /// and their factor is device-born, never transferred.  The mirror key
-  /// is the factorization object the engines touch in solve().
+  /// numeric pass; the device-native backends (Tacho, SpILU, FastILU)
+  /// consume the subdomain matrix on the device and their factor is
+  /// device-born, never transferred.  The first pass after symbolic()
+  /// stages the ordered matrix (Matrix family, pattern base); a later pass
+  /// finds its mirror still valid -- same address, same size -- and what
+  /// crosses PCIe is the value-only overlay, charged unconditionally to the
+  /// Factor family.  The mirror key of the factor is the factorization
+  /// object the engines touch in solve().
   void stage_factor() {
     device::DeviceArena* arena = device::arena_of(cfg_.exec);
     if (arena == nullptr) return;
@@ -339,34 +320,21 @@ class LocalSolver {
     if (cfg_.kind == LocalSolverKind::SuperLULike) {
       arena->invalidate(r, &f);  // host refactorization stales the mirror
       arena->to_device(r, &f, fbytes, device::Xfer::Factor);
-    } else {
-      // The numeric pass rewrote the ordered values on the host.
+      return;
+    }
+    if (!numeric_done_) {
+      // The ordered matrix of a fresh symbolic() (a new pattern) goes up.
       if (staged_input_ != nullptr) arena->invalidate(r, staged_input_);
       if (Aord_.num_entries() > 0) {
         arena->to_device(r, Aord_.values().data(), Aord_.storage_bytes(),
                          device::Xfer::Matrix);
         staged_input_ = Aord_.values().data();
       }
-      arena->produced(r, &f, fbytes);
-    }
-  }
-
-  /// Device placement of a numeric-only refresh (reusable-symbolic backends
-  /// only; the pivoting backend re-enters stage_factor() through the cold
-  /// path).  The subdomain matrix mirror is still valid -- same address,
-  /// same size -- so no Matrix-family staging happens; what crosses PCIe is
-  /// the value-only overlay, charged unconditionally to the Factor family.
-  /// The refactored result stays device-born.
-  void stage_factor_refresh() {
-    device::DeviceArena* arena = device::arena_of(cfg_.exec);
-    if (arena == nullptr) return;
-    const int r = cfg_.exec.device_rank;
-    const trisolve::Factorization<Scalar>& f = factorization();
-    const double fbytes = f.L.storage_bytes() + f.U.storage_bytes();
-    if (Aord_.num_entries() > 0)
+    } else if (Aord_.num_entries() > 0) {
       arena->transfer(r, device::Dir::H2D,
                       static_cast<double>(Aord_.num_entries()) * sizeof(Scalar),
                       device::Xfer::Factor);
+    }
     arena->produced(r, &f, fbytes);
   }
 

@@ -23,22 +23,21 @@ class Preconditioner : public krylov::LinearOperator<Scalar> {
   /// Phase (a): pattern-only analysis.
   virtual void symbolic_setup(const la::CsrMatrix<Scalar>& A) = 0;
 
-  /// Phase (b): numeric setup.  `Z` is the global null-space basis (always
-  /// double; implementations cast down as needed).
+  /// Phase (b): the numeric pass.  `Z` is the global null-space basis
+  /// (always double; implementations cast down as needed).  A must have the
+  /// sparsity pattern symbolic_setup analyzed.  What a pass rebuilds
+  /// follows the state the implementation holds, not the entry point: the
+  /// first pass after symbolic_setup builds the numeric base layers, any
+  /// later one overlays values on them (value copies, refactorizations,
+  /// coarse values) -- bitwise identically to a first pass on the same
+  /// matrix (DESIGN.md section 9).
   virtual void numeric_setup(const la::CsrMatrix<Scalar>& A,
                              const la::DenseMatrix<double>& Z) = 0;
 
-  /// Numeric-only refresh for a matrix with the SAME sparsity pattern as
-  /// the one numeric_setup ran on: re-runs the numeric overlays (value
-  /// copies, refactorizations, coarse values) against the cached symbolic
-  /// base layers.  Returns false when the implementation has no refresh
-  /// path (the facade falls back to a full numeric_setup then).  A
-  /// refreshed preconditioner must apply bitwise identically to one that
-  /// went through a cold numeric_setup on the same matrix.
-  virtual bool numeric_refresh(const la::CsrMatrix<Scalar>& /*A*/,
-                               const la::DenseMatrix<double>& /*Z*/) {
-    return false;
-  }
+  /// The same numeric pass for a matrix with the pattern of the previous
+  /// ones.  Returns false, doing nothing, before the first numeric pass.
+  virtual bool numeric_refresh(const la::CsrMatrix<Scalar>& A,
+                               const la::DenseMatrix<double>& Z) = 0;
 
   /// Dimension of the coarse problem, 0 when the method has no coarse level.
   virtual index_t coarse_dim() const { return 0; }

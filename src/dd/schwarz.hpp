@@ -10,7 +10,8 @@
 //                      per-subdomain symbolic factorization;
 //   numeric_setup(A)   coarse basis + RAP + all numeric factorizations +
 //                      triangular-solve setup, with a named breakdown
-//                      matching Fig. 4's bars;
+//                      matching Fig. 4's bars (numeric_refresh runs the
+//                      same pass; DESIGN.md section 9);
 //   apply(x, y)        one additive application per Krylov iteration
 //                      (apply_columns: one per block of columns).
 //
@@ -36,6 +37,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <vector>
@@ -156,6 +158,7 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
   /// Phase (a): pattern-only analysis.
   void symbolic_setup(const la::CsrMatrix<Scalar>& A) override {
     n_ = A.num_rows();
+    nnz_ = A.num_entries();
     FROSCH_CHECK(static_cast<index_t>(decomp_.owner.size()) == n_,
                  "SchwarzPreconditioner: decomposition/matrix mismatch");
 
@@ -179,8 +182,6 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
     // land in per-part slots and merge into the owning rank in part order.
     local_mats_.assign(static_cast<size_t>(decomp_.num_parts), {});
     extract_maps_.assign(static_cast<size_t>(decomp_.num_parts), {});
-    ext_cache_.reset(decomp_.num_parts);
-    vals_prev_.clear();
     solvers_.clear();
     solvers_.resize(static_cast<size_t>(decomp_.num_parts));
     std::vector<OpProfile> sym(static_cast<size_t>(decomp_.num_parts));
@@ -208,212 +209,30 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
       prof_.ranks[part_rank_[p]].symbolic += sym[p];
 
     build_exchange_plans(A);
+    // The numeric layers of any earlier pattern go with it: the next
+    // numeric pass is a first one, and no cached Phi can match.
+    phi_ = {};
+    numeric_done_ = false;
+    has_coarse_ = false;
     symbolic_done_ = true;
   }
 
-  /// Phase (b): numeric setup.  `Z` is the global null-space basis (only
-  /// used when two_level; pass an empty matrix for one-level).
+  /// Phase (b): the numeric pass.  `Z` is the global null-space basis (only
+  /// used when two_level; pass an empty matrix for one-level).  What the
+  /// pass rebuilds follows the state it holds (DESIGN.md section 9): the
+  /// first pass after symbolic_setup builds the numeric base layers, any
+  /// later one overlays values on them.
   void numeric_setup(const la::CsrMatrix<Scalar>& A,
                      const la::DenseMatrix<double>& Z) override {
     FROSCH_CHECK(symbolic_done_, "SchwarzPreconditioner: symbolic first");
-    auto& bk = prof_.numeric_breakdown;
-
-    // (1) Refresh the local overlapping matrices.  In the distributed run
-    // each rank imports the off-rank rows of its overlap regions; the wire
-    // traffic is the measured overlap_msgs_ plan (posted below), while the
-    // assembly's memory traffic stays a compute cost on the owning rank.
-    {
-      std::vector<OpProfile> asm_prof(static_cast<size_t>(decomp_.num_parts));
-      exec::parallel_for(
-          cfg_.exec, decomp_.num_parts,
-          [&](index_t p) {
-            local_mats_[p] = la::extract_submatrix(A, decomp_.overlap_dofs[p],
-                                                   decomp_.overlap_dofs[p]);
-            OpProfile& o = asm_prof[p];
-            o.bytes += local_mats_[p].storage_bytes();
-            o.launches += 1;
-            o.critical_path += 1;
-            o.work_items += static_cast<double>(local_mats_[p].num_rows());
-          },
-          /*grain=*/1);
-      for (index_t p = 0; p < decomp_.num_parts; ++p) {
-        bk["overlap-matrix-comm"] += asm_prof[p];
-        prof_.ranks[part_rank_[p]].numeric += asm_prof[p];
-        prof_.rank_comm[part_rank_[p]] += asm_prof[p];
-      }
-      comm_->post(overlap_msgs_);  // measured off-rank row import
-    }
-
-    // (2) Coarse space: interface values, extensions, RAP, coarse factor.
-    has_coarse_ = false;
-    if (cfg_.two_level) {
-      OpProfile iface_prof;
-      // The interface basis depends on Z and the interface partition only --
-      // both base layers -- so it is cached for numeric-only refreshes.
-      phi_gamma_ = build_interface_basis<Scalar>(
-          iface_, Z, n_, cfg_.coarse_space, &iface_prof);
-      bk["coarse-basis-interface"] += iface_prof;
-      if (phi_gamma_.num_cols() == 0) {
-        // Single-subdomain (or interface-free) decomposition: the coarse
-        // space is empty and the method degrades to one-level Schwarz.
-        numeric_local_setup(bk);
-        vals_prev_.assign(A.values().begin(), A.values().end());
-        numeric_done_ = true;
-        return;
-      }
-      has_coarse_ = true;
-
-      CoarseSpaceProfile csp;
-      phi_ = extend_basis(A, decomp_, iface_, phi_gamma_, cfg_.extension,
-                          ext_cache_, /*refresh=*/false, &csp, cfg_.exec,
-                          &part_rank_);
-      charge_extension(csp, bk);
-
-      OpProfile rap;
-      galerkin_product(A, /*reuse=*/false, &rap);
-      bk["coarse-rap-spgemm"] += rap;
-      prof_.coarse.numeric += rap;
-      prof_.coarse_dim = A0_.num_rows();
-      // The Galerkin contributions are gathered onto the coarse subset (the
-      // replicated-coarse strategy when the subset is the root alone): one
-      // collective, the coarse matrix's actual storage as payload.
-      comm_->gather(A0_.storage_bytes());
-      prof_.coarse_comm_bytes += A0_.storage_bytes();
-
-      // Device runs: the assembled coarse basis crosses PCIe once per
-      // numeric setup; the apply-phase Phi products then find it resident
-      // (same mirror key), so the Krylov steady state stays transfer-free.
-      if (phi_.num_entries() > 0)
-        device::touch(cfg_.exec, phi_.values().data(), phi_.storage_bytes(),
-                      device::Xfer::CoarseOp);
-
-      OpProfile cfac;
-      coarse_->numeric_setup(A0_, *comm_, &cfac);
-      bk["coarse-factorization"] += cfac;
-      prof_.coarse.numeric += cfac;
-      prof_.coarse_levels = coarse_->level_reports();
-    }
-
-    // (3) Local numeric factorizations + triangular-solve setup.
-    numeric_local_setup(bk);
-    // Snapshot of A's values: the refresh wire traffic ships only the
-    // entries that actually CHANGED relative to this baseline.
-    vals_prev_.assign(A.values().begin(), A.values().end());
-    numeric_done_ = true;
+    numeric_pass(A, Z);
   }
 
-  /// Numeric-only refresh (DESIGN.md section 9): same-pattern matrix,
-  /// base layers (partition, interface, exchange plans, extraction maps,
-  /// symbolic factorizations) stay untouched; only numeric overlays move.
+  /// The same numeric pass; false (and nothing done) before the first one.
   bool numeric_refresh(const la::CsrMatrix<Scalar>& A,
-                       const la::DenseMatrix<double>& /*Z*/) override {
+                       const la::DenseMatrix<double>& Z) override {
     if (!numeric_done_) return false;
-    FROSCH_CHECK(static_cast<size_t>(A.num_entries()) == vals_prev_.size(),
-                 "SchwarzPreconditioner: refresh pattern mismatch");
-    auto& bk = prof_.numeric_breakdown;
-
-    // (1) Value-only overlay of the overlapping matrices through the cached
-    // extraction maps.  The wire side ships only the imported rows' CHANGED
-    // value bytes (diffed against the previous numeric baseline); column
-    // ids and row pointers never move again.
-    {
-      std::vector<OpProfile> asm_prof(static_cast<size_t>(decomp_.num_parts));
-      exec::parallel_for(
-          cfg_.exec, decomp_.num_parts,
-          [&](index_t p) {
-            la::refresh_submatrix_values(A, extract_maps_[p], local_mats_[p]);
-            OpProfile& o = asm_prof[p];
-            o.bytes += static_cast<double>(extract_maps_[p].size()) *
-                       sizeof(Scalar);
-            o.launches += 1;
-            o.critical_path += 1;
-            o.work_items += static_cast<double>(local_mats_[p].num_rows());
-          },
-          /*grain=*/1);
-      for (index_t p = 0; p < decomp_.num_parts; ++p) {
-        bk["overlap-value-refresh"] += asm_prof[p];
-        prof_.ranks[part_rank_[p]].numeric += asm_prof[p];
-        prof_.rank_comm[part_rank_[p]] += asm_prof[p];
-      }
-      // Value-overlay wire traffic: the PCIe round trips charge to the
-      // Factor family, not Halo -- the halo PLAN is a base layer and the
-      // refresh-ledger gate counts Halo bytes as base-layer motion.
-      comm_->post(overlap_refresh_messages(A), device::Xfer::Factor);
-    }
-
-    // (2) Coarse overlays.  The extension is value-dependent (the basis
-    // drops exact numeric zeros), so Phi is rebuilt -- through the cached
-    // interface basis, interior index sets, submatrix maps, and extension
-    // symbolic factorizations -- to stay bitwise identical to a cold setup.
-    if (cfg_.two_level && has_coarse_) {
-      device::DeviceArena* arena = device::arena_of(cfg_.exec);
-      if (arena != nullptr && phi_.num_entries() > 0)
-        arena->invalidate(cfg_.exec.device_rank, phi_.values().data());
-
-      CoarseSpaceProfile csp;
-      la::CsrMatrix<Scalar> phi =
-          extend_basis(A, decomp_, iface_, phi_gamma_, cfg_.extension,
-                       ext_cache_, /*refresh=*/true, &csp, cfg_.exec,
-                       &part_rank_);
-      charge_extension(csp, bk);
-
-      // Phi drops exact numeric zeros, so its pattern can move with the
-      // values; the cached Galerkin structures are keyed on it.
-      const bool same_phi_pattern =
-          phi.rowptr() == phi_.rowptr() && phi.colind() == phi_.colind();
-      phi_ = std::move(phi);
-      OpProfile rap;
-      galerkin_product(A, same_phi_pattern, &rap);
-      bk["coarse-rap-spgemm"] += rap;
-      prof_.coarse.numeric += rap;
-      prof_.coarse_dim = A0_.num_rows();
-      // The subset already holds the coarse sparsity; the refresh gather
-      // carries the coarse VALUES only.
-      comm_->gather(static_cast<double>(A0_.num_entries()) * sizeof(Scalar));
-      prof_.coarse_comm_bytes +=
-          static_cast<double>(A0_.num_entries()) * sizeof(Scalar);
-
-      // Device runs: only the refreshed basis values re-cross PCIe (charged
-      // to the CoarseOp family); the new mirror keeps the apply-phase Phi
-      // products transfer-free, exactly as after a cold setup.
-      if (arena != nullptr && phi_.num_entries() > 0) {
-        arena->transfer(cfg_.exec.device_rank, device::Dir::H2D,
-                        static_cast<double>(phi_.num_entries()) *
-                            sizeof(Scalar),
-                        device::Xfer::CoarseOp);
-        arena->produced(cfg_.exec.device_rank, phi_.values().data(),
-                        phi_.storage_bytes());
-      }
-
-      // The coarse solver checks A0's pattern itself.
-      OpProfile cfac;
-      coarse_->numeric_refresh(A0_, *comm_, &cfac);
-      bk["coarse-factorization"] += cfac;
-      prof_.coarse.numeric += cfac;
-      prof_.coarse_levels = coarse_->level_reports();
-    }
-
-    // (3) Local numeric refactorizations against the frozen symbolic
-    // structure (the engines rebuild their level schedules).
-    {
-      std::vector<OpProfile> fac(static_cast<size_t>(decomp_.num_parts));
-      std::vector<OpProfile> tri(static_cast<size_t>(decomp_.num_parts));
-      exec::parallel_for(
-          cfg_.exec, decomp_.num_parts,
-          [&](index_t p) {
-            solvers_[p]->numeric_refresh(local_mats_[p], &fac[p], &tri[p]);
-          },
-          /*grain=*/1);
-      for (index_t p = 0; p < decomp_.num_parts; ++p) {
-        bk["local-factorization"] += fac[p];
-        bk["sptrsv-setup"] += tri[p];
-        prof_.ranks[part_rank_[p]].numeric += fac[p];
-        prof_.ranks[part_rank_[p]].numeric += tri[p];
-        prof_.rank_factor[part_rank_[p]] += fac[p];
-        prof_.rank_trisolve_setup[part_rank_[p]] += tri[p];
-      }
-    }
-    vals_prev_.assign(A.values().begin(), A.values().end());
+    numeric_pass(A, Z);
     return true;
   }
 
@@ -527,14 +346,186 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
   }
 
  private:
-  /// A0 = Phi^T (A Phi) through the cached Galerkin structures (base layers,
-  /// DESIGN.md section 9): the structure of A Phi, Phi^T with its value map
-  /// from Phi, and A0's pattern.  Without `reuse` (cold setup, or a refresh
-  /// whose Phi pattern moved) the symbolic passes rebuild them; with it only
-  /// Phi^T's values are refilled and the numeric passes run.  Both give A0
-  /// bitwise equal to the one-pass product.
-  void galerkin_product(const la::CsrMatrix<Scalar>& A, bool reuse,
-                        OpProfile* rap) {
+  /// One numeric pass.  The overlapping matrices take A's values through
+  /// the extraction maps of symbolic_setup; the first pass charges their
+  /// assembly and the off-rank row import, later passes the value overlay
+  /// and the changed values alone.  Then the coarse level and the local
+  /// factorizations, in that order.
+  void numeric_pass(const la::CsrMatrix<Scalar>& A,
+                    const la::DenseMatrix<double>& Z) {
+    FROSCH_CHECK(A.num_rows() == n_ && A.num_entries() == nnz_,
+                 "SchwarzPreconditioner: numeric pattern differs from "
+                 "symbolic_setup ("
+                     << A.num_rows() << " rows, " << A.num_entries()
+                     << " entries against " << n_ << ", " << nnz_ << ")");
+    const bool first = !numeric_done_;
+    auto& bk = prof_.numeric_breakdown;
+
+    // (1) The local overlapping matrices.  In the distributed run each rank
+    // imports the off-rank rows of its overlap regions; the wire traffic is
+    // measured from the exchange plan, while the assembly's memory traffic
+    // stays a compute cost on the owning rank.
+    {
+      std::vector<OpProfile> asm_prof(static_cast<size_t>(decomp_.num_parts));
+      exec::parallel_for(
+          cfg_.exec, decomp_.num_parts,
+          [&](index_t p) {
+            la::refresh_submatrix_values(A, extract_maps_[p], local_mats_[p]);
+            OpProfile& o = asm_prof[p];
+            o.bytes += first ? local_mats_[p].storage_bytes()
+                             : static_cast<double>(extract_maps_[p].size()) *
+                                   sizeof(Scalar);
+            o.launches += 1;
+            o.critical_path += 1;
+            o.work_items += static_cast<double>(local_mats_[p].num_rows());
+          },
+          /*grain=*/1);
+      const char* key = first ? "overlap-matrix-comm" : "overlap-value-refresh";
+      for (index_t p = 0; p < decomp_.num_parts; ++p) {
+        bk[key] += asm_prof[p];
+        prof_.ranks[part_rank_[p]].numeric += asm_prof[p];
+        prof_.rank_comm[part_rank_[p]] += asm_prof[p];
+      }
+      // A later pass ships only the imported rows' CHANGED value bytes; its
+      // PCIe round trips charge to the Factor family, not Halo -- the halo
+      // PLAN is a base layer and the refresh-ledger gate counts Halo bytes
+      // as base-layer motion.
+      if (first)
+        comm_->post(overlap_msgs_);
+      else
+        comm_->post(overlap_refresh_messages(A), device::Xfer::Factor);
+    }
+
+    // (2) Coarse space: interface values, extensions, RAP, coarse factor.
+    if (cfg_.two_level) numeric_coarse(A, Z, first, bk);
+
+    // (3) Local numeric factorizations + triangular-solve setup: independent
+    // per subdomain -- the phase the paper's GPU runs execute concurrently
+    // across local problems.  Profiles are gathered per part and merged in
+    // part order afterwards.
+    {
+      std::vector<OpProfile> fac(static_cast<size_t>(decomp_.num_parts));
+      std::vector<OpProfile> tri(static_cast<size_t>(decomp_.num_parts));
+      exec::parallel_for(
+          cfg_.exec, decomp_.num_parts,
+          [&](index_t p) {
+            solvers_[p]->numeric(local_mats_[p], &fac[p], &tri[p]);
+          },
+          /*grain=*/1);
+      for (index_t p = 0; p < decomp_.num_parts; ++p) {
+        bk["local-factorization"] += fac[p];
+        bk["sptrsv-setup"] += tri[p];
+        prof_.ranks[part_rank_[p]].numeric += fac[p];
+        prof_.ranks[part_rank_[p]].numeric += tri[p];
+        prof_.rank_factor[part_rank_[p]] += fac[p];
+        prof_.rank_trisolve_setup[part_rank_[p]] += tri[p];
+      }
+    }
+    // Snapshot of A's values: the next pass's wire traffic ships only the
+    // entries that actually CHANGED relative to this baseline.
+    vals_prev_.assign(A.values().begin(), A.values().end());
+    numeric_done_ = true;
+  }
+
+  /// The coarse part of a numeric pass.  The interface basis depends on Z
+  /// and the interface partition only, so it is rebuilt on the first pass
+  /// or when Z differs bitwise from the cached copy; the extension and
+  /// Galerkin structures follow their own caches.  An empty interface basis
+  /// (single-subdomain or interface-free decomposition) leaves the method
+  /// one-level.
+  void numeric_coarse(const la::CsrMatrix<Scalar>& A,
+                      const la::DenseMatrix<double>& Z, bool first,
+                      std::map<std::string, OpProfile>& bk) {
+    if (first || !same_bits(Z, Z_)) {
+      OpProfile iface_prof;
+      phi_gamma_ = build_interface_basis<Scalar>(
+          iface_, Z, n_, cfg_.coarse_space, &iface_prof);
+      bk["coarse-basis-interface"] += iface_prof;
+      Z_ = Z;
+      ext_cache_.reset(decomp_.num_parts);
+    }
+    has_coarse_ = phi_gamma_.num_cols() > 0;
+    if (!has_coarse_) return;
+
+    // The extension is value-dependent (the basis drops exact numeric
+    // zeros), so Phi is rebuilt every pass -- a later one through the
+    // cached interior sets, submatrix maps and extension symbolic
+    // factorizations -- bitwise identical to a first pass on the same A.
+    device::DeviceArena* arena = device::arena_of(cfg_.exec);
+    if (!first && arena != nullptr && phi_.num_entries() > 0)
+      arena->invalidate(cfg_.exec.device_rank, phi_.values().data());
+    CoarseSpaceProfile csp;
+    la::CsrMatrix<Scalar> phi =
+        extend_basis(A, decomp_, iface_, phi_gamma_, cfg_.extension,
+                     ext_cache_, &csp, cfg_.exec, &part_rank_);
+    charge_extension(csp, bk);
+
+    OpProfile rap;
+    galerkin_product(A, std::move(phi), &rap);
+    bk["coarse-rap-spgemm"] += rap;
+    prof_.coarse.numeric += rap;
+    prof_.coarse_dim = A0_.num_rows();
+    // The Galerkin contributions are gathered onto the coarse subset (the
+    // replicated-coarse strategy when the subset is the root alone): one
+    // collective, the coarse matrix's storage as payload -- its VALUES
+    // alone once the subset holds the coarse sparsity.
+    const double gathered =
+        first ? A0_.storage_bytes()
+              : static_cast<double>(A0_.num_entries()) * sizeof(Scalar);
+    comm_->gather(gathered);
+    prof_.coarse_comm_bytes += gathered;
+
+    // Device runs: the assembled coarse basis crosses PCIe once per pass
+    // (a later pass charges its values to the CoarseOp family); the
+    // apply-phase Phi products then find it resident (same mirror key), so
+    // the Krylov steady state stays transfer-free.
+    if (phi_.num_entries() > 0) {
+      if (first) {
+        device::touch(cfg_.exec, phi_.values().data(), phi_.storage_bytes(),
+                      device::Xfer::CoarseOp);
+      } else if (arena != nullptr) {
+        arena->transfer(cfg_.exec.device_rank, device::Dir::H2D,
+                        static_cast<double>(phi_.num_entries()) *
+                            sizeof(Scalar),
+                        device::Xfer::CoarseOp);
+        arena->produced(cfg_.exec.device_rank, phi_.values().data(),
+                        phi_.storage_bytes());
+      }
+    }
+
+    // The coarse solver checks A0's pattern itself.
+    OpProfile cfac;
+    if (first)
+      coarse_->numeric_setup(A0_, *comm_, &cfac);
+    else
+      coarse_->numeric_refresh(A0_, *comm_, &cfac);
+    bk["coarse-factorization"] += cfac;
+    prof_.coarse.numeric += cfac;
+    prof_.coarse_levels = coarse_->level_reports();
+  }
+
+  /// Whether X and Y have equal dimensions and bitwise equal entries.
+  static bool same_bits(const la::DenseMatrix<double>& X,
+                        const la::DenseMatrix<double>& Y) {
+    const size_t len = static_cast<size_t>(X.num_rows()) *
+                       static_cast<size_t>(X.num_cols()) * sizeof(double);
+    return X.num_rows() == Y.num_rows() && X.num_cols() == Y.num_cols() &&
+           (len == 0 || std::memcmp(X.data(), Y.data(), len) == 0);
+  }
+
+  /// Sets phi_ = phi and A0 = Phi^T (A Phi) through the cached Galerkin
+  /// structures (base layers, DESIGN.md section 9): the structure of A Phi,
+  /// Phi^T with its value map from Phi, and A0's pattern.  They are reused
+  /// exactly when phi's pattern matches the cached Phi's -- only Phi^T's
+  /// values are refilled and the numeric passes run; otherwise (first pass,
+  /// or a Phi pattern that moved with the values) the symbolic passes
+  /// rebuild them.  Both give A0 bitwise equal to the one-pass product.
+  void galerkin_product(const la::CsrMatrix<Scalar>& A,
+                        la::CsrMatrix<Scalar> phi, OpProfile* rap) {
+    const bool reuse = phi.num_cols() == phi_.num_cols() &&
+                       phi.rowptr() == phi_.rowptr() &&
+                       phi.colind() == phi_.colind();
+    phi_ = std::move(phi);
     if (reuse) {
       la::refresh_submatrix_values(phi_, phit_map_, phit_);
       // The value gather: read the map and Phi's values, write Phi^T's.
@@ -573,30 +564,6 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
     for (size_t q = 0; q < prof_.ranks.size(); ++q) {
       prof_.ranks[q].numeric += share;
       prof_.rank_extension[q] += share;
-    }
-  }
-
-  void numeric_local_setup(std::map<std::string, OpProfile>& bk) {
-    // Independent per-subdomain factorizations -- the phase the paper's GPU
-    // runs execute concurrently across local problems.  Profiles are
-    // gathered per part and merged in part order afterwards.
-    std::vector<OpProfile> fac(static_cast<size_t>(decomp_.num_parts));
-    std::vector<OpProfile> tri(static_cast<size_t>(decomp_.num_parts));
-    exec::parallel_for(
-        cfg_.exec, decomp_.num_parts,
-        [&](index_t p) {
-          // The pivoting backend's value-dependent structure is rebuilt
-          // inside numeric(); the ordering from symbolic_setup is reused.
-          solvers_[p]->numeric(local_mats_[p], &fac[p], &tri[p]);
-        },
-        /*grain=*/1);
-    for (index_t p = 0; p < decomp_.num_parts; ++p) {
-      bk["local-factorization"] += fac[p];
-      bk["sptrsv-setup"] += tri[p];
-      prof_.ranks[part_rank_[p]].numeric += fac[p];
-      prof_.ranks[part_rank_[p]].numeric += tri[p];
-      prof_.rank_factor[part_rank_[p]] += fac[p];
-      prof_.rank_trisolve_setup[part_rank_[p]] += tri[p];
     }
   }
 
@@ -701,6 +668,7 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
   Decomposition decomp_;
   InterfacePartition iface_;
   index_t n_ = 0;
+  count_t nnz_ = 0;  ///< entries of the matrix symbolic_setup analyzed
   comm::Communicator* comm_;
   IndexVector part_rank_;
   std::vector<comm::Message> overlap_msgs_;       ///< numeric row import
@@ -713,6 +681,7 @@ class SchwarzPreconditioner final : public Preconditioner<Scalar> {
   std::unique_ptr<CoarseLevelSolver<Scalar>> coarse_;
   la::CsrMatrix<Scalar> phi_, A0_;
   la::CsrMatrix<Scalar> phi_gamma_;      ///< cached interface basis
+  la::DenseMatrix<double> Z_;            ///< the null space phi_gamma_ is of
   la::CsrMatrix<Scalar> aphi_, phit_;    ///< cached A Phi and Phi^T
   IndexVector phit_map_;                 ///< Phi^T entry -> Phi entry
   ExtensionCache<Scalar> ext_cache_;     ///< cached extension base layers

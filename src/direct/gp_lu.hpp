@@ -4,8 +4,9 @@
 //
 // Key behavioural property reproduced from the paper (Section VIII-A):
 // partial pivoting makes the factor structure depend on the numerical
-// values, so NOTHING from the symbolic phase can be reused across numeric
-// factorizations -- symbolic_reusable() == false -- and any downstream
+// values, so no factor analysis from the symbolic phase can be reused
+// across numeric factorizations -- symbolic_reusable() == false (the
+// symbolic phase keeps only A's column access) -- and any downstream
 // triangular-solve setup (level sets, supernode detection) must be redone
 // after every numeric factorization.  That is the mechanism behind the large
 // SuperLU setup times on GPUs in Fig. 4 / Table III.
@@ -33,12 +34,14 @@ namespace frosch::direct {
 template <class Scalar>
 class GilbertPeierlsLu {
  public:
-  /// Symbolic phase: for partial-pivoting LU there is no reusable analysis;
-  /// we only cache the dimension.  (Kept for interface symmetry with the
-  /// three-phase Trilinos solver structure.)
+  /// Symbolic phase: partial pivoting leaves no reusable factor analysis,
+  /// but the column access to A is pattern-only: A^T (CSR of A^T is CSC of
+  /// A) and its value map into A are built here, once, and every numeric
+  /// pass refills the values through the map.
   void symbolic(const la::CsrMatrix<Scalar>& A) {
     FROSCH_CHECK(A.num_rows() == A.num_cols(), "GP-LU: square matrices only");
     n_ = A.num_rows();
+    At_ = la::transpose(A, nullptr, &At_map_);
   }
 
   /// Smallest trailing dimension worth a dense tail: below it the sparse
@@ -50,11 +53,10 @@ class GilbertPeierlsLu {
   /// partially built L, then pivots on the largest unpivoted entry -- until
   /// the dense tail takes over the remaining columns (see file comment).
   void numeric(const la::CsrMatrix<Scalar>& A, OpProfile* prof = nullptr) {
-    FROSCH_CHECK(A.num_rows() == n_ && A.num_cols() == n_,
-                 "GP-LU: numeric called with different dimensions");
+    check_pattern(A);
+    la::refresh_submatrix_values(A, At_map_, At_);
+    const la::CsrMatrix<Scalar>& At = At_;
     const index_t n = n_;
-    // Column access: CSR of A^T is CSC of A.
-    const la::CsrMatrix<Scalar> At = la::transpose(A);
 
     // Dynamic factor storage in CSC, row indices in PIVOTED space for U and
     // ORIGINAL space for L until the end.
@@ -223,6 +225,21 @@ class GilbertPeierlsLu {
   Factorization<Scalar>& factorization() { return fact_; }
 
  private:
+  /// Rejects an A whose pattern is not the one symbolic() analyzed: every
+  /// A^T entry (j, i) must map into row i of A at column j, and the counts
+  /// must agree, so the map is a bijection onto A's entries.
+  void check_pattern(const la::CsrMatrix<Scalar>& A) const {
+    bool same = A.num_rows() == n_ && A.num_cols() == n_ &&
+                static_cast<size_t>(A.num_entries()) == At_map_.size();
+    for (index_t j = 0; same && j < n_; ++j)
+      for (index_t k = At_.row_begin(j); k < At_.row_end(j); ++k) {
+        const index_t i = At_.col(k), src = At_map_[static_cast<size_t>(k)];
+        same = same && src >= A.row_begin(i) && src < A.row_end(i) &&
+               A.col(src) == j;
+      }
+    FROSCH_CHECK(same, "GP-LU: numeric pattern differs from symbolic()");
+  }
+
   /// Solves the tail columns j0..n-1 against the j0 sparse pivots and
   /// scatters each into its block column of S; returns the update flops.
   /// The reach runs over the pivot DAG alone (node k -> the pivot positions
@@ -400,6 +417,8 @@ class GilbertPeierlsLu {
 
   index_t n_ = 0;
   index_t tail_start_ = 0;
+  la::CsrMatrix<Scalar> At_;  ///< A^T: column access to A
+  IndexVector At_map_;        ///< A^T entry -> A entry
   Factorization<Scalar> fact_;
 };
 

@@ -283,7 +283,7 @@ BlockSolveResult gmres_engine(const char* who,
                               const LinearOperator<Scalar>* prec,
                               const ColPtrs<Scalar>& B,
                               const MutColPtrs<Scalar>& X,
-                              const GmresOptions& opts) {
+                              const KrylovOptions& opts) {
   FROSCH_CHECK(opts.restart > 0, who << ": restart must be positive");
   const index_t m = opts.restart;
   const size_t nb = B.size();
@@ -422,7 +422,7 @@ BlockSolveResult cg_engine(const char* who, const LinearOperator<Scalar>& A,
                            const LinearOperator<Scalar>* prec,
                            const ColPtrs<Scalar>& B,
                            const MutColPtrs<Scalar>& X,
-                           const CgOptions& opts) {
+                           const KrylovOptions& opts) {
   const size_t nb = B.size();
   BlockSolveResult out;
   out.columns.resize(nb);
@@ -568,7 +568,7 @@ BlockSolveResult block_gmres(const LinearOperator<Scalar>& A,
                              const LinearOperator<Scalar>* prec,
                              const std::vector<std::vector<Scalar>>& B,
                              std::vector<std::vector<Scalar>>& X,
-                             const GmresOptions& opts) {
+                             const KrylovOptions& opts) {
   ColPtrs<Scalar> bs;
   MutColPtrs<Scalar> xs;
   column_lists("block_gmres", B, X, bs, xs);
@@ -580,7 +580,7 @@ BlockSolveResult block_cg(const LinearOperator<Scalar>& A,
                           const LinearOperator<Scalar>* prec,
                           const std::vector<std::vector<Scalar>>& B,
                           std::vector<std::vector<Scalar>>& X,
-                          const CgOptions& opts) {
+                          const KrylovOptions& opts) {
   ColPtrs<Scalar> bs;
   MutColPtrs<Scalar> xs;
   column_lists("block_cg", B, X, bs, xs);
@@ -591,7 +591,7 @@ template <class Scalar>
 SolveResult gmres(const LinearOperator<Scalar>& A,
                   const LinearOperator<Scalar>* prec,
                   const std::vector<Scalar>& b, std::vector<Scalar>& x,
-                  const GmresOptions& opts) {
+                  const KrylovOptions& opts) {
   return width1_result(
       gmres_engine<Scalar>("gmres", A, prec, {&b}, {&x}, opts));
 }
@@ -600,7 +600,7 @@ template <class Scalar>
 SolveResult cg(const LinearOperator<Scalar>& A,
                const LinearOperator<Scalar>* prec,
                const std::vector<Scalar>& b, std::vector<Scalar>& x,
-               const CgOptions& opts) {
+               const KrylovOptions& opts) {
   return width1_result(
       cg_engine<Scalar>("cg", A, prec, {&b}, {&x}, opts));
 }
@@ -609,18 +609,19 @@ SolveResult cg(const LinearOperator<Scalar>& A,
   template BlockSolveResult block_gmres<S>(                                  \
       const LinearOperator<S>&, const LinearOperator<S>*,                    \
       const std::vector<std::vector<S>>&, std::vector<std::vector<S>>&,      \
-      const GmresOptions&);                                                  \
+      const KrylovOptions&);                                                 \
   template BlockSolveResult block_cg<S>(                                     \
       const LinearOperator<S>&, const LinearOperator<S>*,                    \
       const std::vector<std::vector<S>>&, std::vector<std::vector<S>>&,      \
-      const CgOptions&);                                                     \
+      const KrylovOptions&);                                                 \
   template SolveResult gmres<S>(const LinearOperator<S>&,                    \
                                 const LinearOperator<S>*,                    \
                                 const std::vector<S>&, std::vector<S>&,      \
-                                const GmresOptions&);                        \
+                                const KrylovOptions&);                       \
   template SolveResult cg<S>(const LinearOperator<S>&,                       \
-                             const LinearOperator<S>*, const std::vector<S>&, \
-                             std::vector<S>&, const CgOptions&);
+                             const LinearOperator<S>*,                       \
+                             const std::vector<S>&, std::vector<S>&,         \
+                             const KrylovOptions&);
 FROSCH_KRYLOV_ENGINE(double)
 FROSCH_KRYLOV_ENGINE(float)
 #undef FROSCH_KRYLOV_ENGINE

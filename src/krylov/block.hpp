@@ -56,7 +56,7 @@ BlockSolveResult block_gmres(const LinearOperator<Scalar>& A,
                              const LinearOperator<Scalar>* prec,
                              const std::vector<std::vector<Scalar>>& B,
                              std::vector<std::vector<Scalar>>& X,
-                             const GmresOptions& opts = {});
+                             const KrylovOptions& opts = {});
 
 /// Block CG over B.size() right-hand sides (same contracts as block_gmres;
 /// three fused reductions per lockstep iteration regardless of width).
@@ -65,6 +65,6 @@ BlockSolveResult block_cg(const LinearOperator<Scalar>& A,
                           const LinearOperator<Scalar>* prec,
                           const std::vector<std::vector<Scalar>>& B,
                           std::vector<std::vector<Scalar>>& X,
-                          const CgOptions& opts = {});
+                          const KrylovOptions& opts = {});
 
 }  // namespace frosch::krylov

@@ -15,21 +15,14 @@
 
 namespace frosch::krylov {
 
-struct CgOptions {
-  index_t max_iters = 2000;
-  double tol = 1e-7;  ///< relative to the initial residual (as in GMRES)
-  IterationCallback on_iteration;  ///< optional per-iteration observer
-  exec::ExecPolicy exec;  ///< vector-kernel execution (dots, axpys)
-  la::DistContext dist;   ///< measured distributed reductions (as in GMRES)
-};
-
 /// Initial-guess CONTRACT (same as gmres, see krylov/solver.hpp): an EMPTY
 /// `x` requests the zero initial guess; an `x` of the system size is taken
-/// as a warm start; any other size is an error.
+/// as a warm start; any other size is an error.  KrylovOptions::restart and
+/// ::ortho do not apply to CG and are ignored.
 template <class Scalar>
 SolveResult cg(const LinearOperator<Scalar>& A,
                const LinearOperator<Scalar>* prec,
                const std::vector<Scalar>& b, std::vector<Scalar>& x,
-               const CgOptions& opts = {});
+               const KrylovOptions& opts = {});
 
 }  // namespace frosch::krylov

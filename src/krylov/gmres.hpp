@@ -6,9 +6,9 @@
 //
 // As in Belos, a single-vector solve is the width-1 block solve: gmres() is
 // an adapter of block_gmres (krylov/block.hpp), the one Arnoldi loop.  This
-// header holds the options and result types both share, and the Givens /
-// least-squares state of a restart cycle that block GMRES columns and the
-// pipelined GMRES (krylov/pipelined.hpp) advance.
+// header holds the options and result types every method shares, and the
+// Givens / least-squares state of a restart cycle that block GMRES columns
+// and the pipelined GMRES (krylov/pipelined.hpp) advance.
 //
 // The reduction counts are recorded on the OpProfile (via fused dots) and
 // priced by the perf/ collective model -- on hundreds of ranks the latency
@@ -42,11 +42,24 @@ const char* to_string(OrthoKind k);
 /// with the 1-based iteration number and the current residual estimate.
 using IterationCallback = std::function<void(index_t iteration, double residual)>;
 
-struct GmresOptions {
-  index_t restart = 30;         ///< paper setting
+enum class KrylovMethod {
+  Gmres,      ///< restarted, right-preconditioned (the paper's solver)
+  Cg,         ///< for SPD operator + SPD preconditioner
+  GmresPipe,  ///< pipelined GMRES: async fused reduce overlapped with the op
+  CgPipe,     ///< pipelined CG (Ghysels-Vanroose), same overlap contract
+};
+
+const char* to_string(KrylovMethod k);
+
+/// The options of every Krylov method (GMRES-only fields are ignored by
+/// CG).  All methods share the tolerance-relative-to-initial-residual
+/// semantics and populate the same SolveResult fields.
+struct KrylovOptions {
+  KrylovMethod method = KrylovMethod::Gmres;  ///< read by KrylovSolver
+  index_t restart = 30;         ///< GMRES cycle length (paper setting)
   index_t max_iters = 2000;
   double tol = 1e-7;            ///< relative to the initial residual (paper)
-  OrthoKind ortho = OrthoKind::SingleReduce;
+  OrthoKind ortho = OrthoKind::SingleReduce;  ///< GMRES orthogonalization
   IterationCallback on_iteration;  ///< optional per-iteration observer
   exec::ExecPolicy exec;  ///< vector-kernel execution (dots, axpys, scales)
   /// Virtual distributed-memory context: when active, every reduction and
@@ -86,7 +99,7 @@ template <class Scalar>
 SolveResult gmres(const LinearOperator<Scalar>& A,
                   const LinearOperator<Scalar>* prec,
                   const std::vector<Scalar>& b, std::vector<Scalar>& x,
-                  const GmresOptions& opts = {});
+                  const KrylovOptions& opts = {});
 
 /// The Givens / least-squares state of one restart cycle of length m: the
 /// rotated Hessenberg matrix H, the rotations (cs, sn) and the rotated
@@ -182,6 +195,14 @@ struct EnumTraits<krylov::OrthoKind> {
   static constexpr std::array<krylov::OrthoKind, 3> all = {
       krylov::OrthoKind::MGS, krylov::OrthoKind::CGS2,
       krylov::OrthoKind::SingleReduce};
+};
+
+template <>
+struct EnumTraits<krylov::KrylovMethod> {
+  static constexpr const char* type_name = "KrylovMethod";
+  static constexpr std::array<krylov::KrylovMethod, 4> all = {
+      krylov::KrylovMethod::Gmres, krylov::KrylovMethod::Cg,
+      krylov::KrylovMethod::GmresPipe, krylov::KrylovMethod::CgPipe};
 };
 
 }  // namespace frosch

@@ -28,7 +28,7 @@ template <class Scalar>
 SolveResult cg_pipe(const LinearOperator<Scalar>& A,
                     const LinearOperator<Scalar>* prec,
                     const std::vector<Scalar>& b, std::vector<Scalar>& x,
-                    const CgOptions& opts) {
+                    const KrylovOptions& opts) {
   FROSCH_CHECK(A.rows() == A.cols(), "cg-pipe: square operator required");
   const index_t n = A.rows();
   FROSCH_CHECK(static_cast<index_t>(b.size()) == n,
@@ -147,7 +147,7 @@ template <class Scalar>
 SolveResult gmres_pipe(const LinearOperator<Scalar>& A,
                        const LinearOperator<Scalar>* prec,
                        const std::vector<Scalar>& b, std::vector<Scalar>& x,
-                       const GmresOptions& opts) {
+                       const KrylovOptions& opts) {
   FROSCH_CHECK(A.rows() == A.cols(), "gmres-pipe: square operator required");
   FROSCH_CHECK(opts.restart > 0, "gmres-pipe: restart must be positive");
   const index_t n = A.rows();
@@ -305,20 +305,21 @@ SolveResult gmres_pipe(const LinearOperator<Scalar>& A,
 template SolveResult cg_pipe<double>(const LinearOperator<double>&,
                                      const LinearOperator<double>*,
                                      const std::vector<double>&,
-                                     std::vector<double>&, const CgOptions&);
+                                     std::vector<double>&,
+                                     const KrylovOptions&);
 template SolveResult cg_pipe<float>(const LinearOperator<float>&,
                                     const LinearOperator<float>*,
                                     const std::vector<float>&,
-                                    std::vector<float>&, const CgOptions&);
+                                    std::vector<float>&, const KrylovOptions&);
 template SolveResult gmres_pipe<double>(const LinearOperator<double>&,
                                         const LinearOperator<double>*,
                                         const std::vector<double>&,
                                         std::vector<double>&,
-                                        const GmresOptions&);
+                                        const KrylovOptions&);
 template SolveResult gmres_pipe<float>(const LinearOperator<float>&,
                                        const LinearOperator<float>*,
                                        const std::vector<float>&,
                                        std::vector<float>&,
-                                       const GmresOptions&);
+                                       const KrylovOptions&);
 
 }  // namespace frosch::krylov

@@ -37,7 +37,7 @@ template <class Scalar>
 SolveResult cg_pipe(const LinearOperator<Scalar>& A,
                     const LinearOperator<Scalar>* prec,
                     const std::vector<Scalar>& b, std::vector<Scalar>& x,
-                    const CgOptions& opts = {});
+                    const KrylovOptions& opts = {});
 
 /// Pipelined restarted right-preconditioned GMRES: a two-basis iteration
 /// keeping V (orthonormal) and U with the invariant U[j] = A M^{-1} V[j].
@@ -48,13 +48,13 @@ SolveResult cg_pipe(const LinearOperator<Scalar>& A,
 /// enough" blocking re-orthogonalization safeguard gmres() applies when
 /// cancellation makes the estimate untrustworthy (one fused projection
 /// reduction, then an explicit norm).  The method is inherently
-/// single-reduce: GmresOptions::ortho is IGNORED.  Each restart cycle costs
+/// single-reduce: KrylovOptions::ortho is IGNORED.  Each restart cycle costs
 /// one extra operator application (the U[0] rebuild).  Same initial-guess
 /// contract as gmres().
 template <class Scalar>
 SolveResult gmres_pipe(const LinearOperator<Scalar>& A,
                        const LinearOperator<Scalar>* prec,
                        const std::vector<Scalar>& b, std::vector<Scalar>& x,
-                       const GmresOptions& opts = {});
+                       const KrylovOptions& opts = {});
 
 }  // namespace frosch::krylov

@@ -1,7 +1,7 @@
-// Common Krylov-solver interface: one KrylovOptions aggregate covering every
-// method (selectable by enum or by name through from_string), and the one
-// KrylovSolver that the frosch::Solver facade drives -- the Belos
-// SolverManager analogue of the paper's Trilinos stack.
+// Common Krylov-solver interface: the one KrylovSolver that the
+// frosch::Solver facade drives -- the Belos SolverManager analogue of the
+// paper's Trilinos stack.  Its KrylovOptions (krylov/gmres.hpp) cover every
+// method, selectable by enum or by name through from_string.
 #pragma once
 
 #include <memory>
@@ -12,51 +12,6 @@
 #include "krylov/pipelined.hpp"
 
 namespace frosch::krylov {
-
-enum class KrylovMethod {
-  Gmres,      ///< restarted, right-preconditioned (the paper's solver)
-  Cg,         ///< for SPD operator + SPD preconditioner
-  GmresPipe,  ///< pipelined GMRES: async fused reduce overlapped with the op
-  CgPipe,     ///< pipelined CG (Ghysels-Vanroose), same overlap contract
-};
-
-const char* to_string(KrylovMethod k);
-
-/// Unified options: the union of GmresOptions and CgOptions (GMRES-only
-/// fields are ignored by CG).  Both methods share the tolerance-relative-
-/// to-initial-residual semantics and populate the same SolveResult fields.
-struct KrylovOptions {
-  KrylovMethod method = KrylovMethod::Gmres;
-  index_t restart = 30;         ///< GMRES cycle length (paper setting)
-  index_t max_iters = 2000;
-  double tol = 1e-7;            ///< relative to the initial residual
-  OrthoKind ortho = OrthoKind::SingleReduce;  ///< GMRES orthogonalization
-  IterationCallback on_iteration;  ///< optional per-iteration observer
-  exec::ExecPolicy exec;  ///< vector-kernel execution policy
-  la::DistContext dist;   ///< measured distributed reductions + attribution
-
-  GmresOptions gmres_options() const {
-    GmresOptions o;
-    o.restart = restart;
-    o.max_iters = max_iters;
-    o.tol = tol;
-    o.ortho = ortho;
-    o.on_iteration = on_iteration;
-    o.exec = exec;
-    o.dist = dist;
-    return o;
-  }
-
-  CgOptions cg_options() const {
-    CgOptions o;
-    o.max_iters = max_iters;
-    o.tol = tol;
-    o.on_iteration = on_iteration;
-    o.exec = exec;
-    o.dist = dist;
-    return o;
-  }
-};
 
 /// A configured iterative method: solves A x = b with an optional right
 /// preconditioner (nullptr for none); x serves as initial guess and result.
@@ -82,13 +37,13 @@ class KrylovSolver {
                     std::vector<Scalar>& x) const {
     switch (opts_.method) {
       case KrylovMethod::Gmres:
-        return gmres<Scalar>(A, prec, b, x, opts_.gmres_options());
+        return gmres<Scalar>(A, prec, b, x, opts_);
       case KrylovMethod::Cg:
-        return cg<Scalar>(A, prec, b, x, opts_.cg_options());
+        return cg<Scalar>(A, prec, b, x, opts_);
       case KrylovMethod::GmresPipe:
-        return gmres_pipe<Scalar>(A, prec, b, x, opts_.gmres_options());
+        return gmres_pipe<Scalar>(A, prec, b, x, opts_);
       case KrylovMethod::CgPipe:
-        return cg_pipe<Scalar>(A, prec, b, x, opts_.cg_options());
+        return cg_pipe<Scalar>(A, prec, b, x, opts_);
     }
     FROSCH_CHECK(false, "KrylovSolver: unknown method");
     return {};
@@ -107,8 +62,8 @@ class KrylovSolver {
                                std::vector<std::vector<Scalar>>& X) const {
     if (opts_.method == KrylovMethod::Cg ||
         opts_.method == KrylovMethod::CgPipe)
-      return block_cg<Scalar>(A, prec, B, X, opts_.cg_options());
-    return block_gmres<Scalar>(A, prec, B, X, opts_.gmres_options());
+      return block_cg<Scalar>(A, prec, B, X, opts_);
+    return block_gmres<Scalar>(A, prec, B, X, opts_);
   }
 
  private:
@@ -122,15 +77,3 @@ std::unique_ptr<KrylovSolver<Scalar>> make_krylov(const KrylovOptions& opts) {
 }
 
 }  // namespace frosch::krylov
-
-namespace frosch {
-
-template <>
-struct EnumTraits<krylov::KrylovMethod> {
-  static constexpr const char* type_name = "KrylovMethod";
-  static constexpr std::array<krylov::KrylovMethod, 4> all = {
-      krylov::KrylovMethod::Gmres, krylov::KrylovMethod::Cg,
-      krylov::KrylovMethod::GmresPipe, krylov::KrylovMethod::CgPipe};
-};
-
-}  // namespace frosch

@@ -82,7 +82,7 @@ class CoarseHierarchy final : public dd::CoarseLevelSolver<Scalar> {
       return;
     }
     const OpProfile before = inner_setup_total();
-    if (!schwarz0_->numeric_refresh(A0, Z0_)) schwarz0_->numeric_setup(A0, Z0_);
+    schwarz0_->numeric_refresh(A0, Z0_);
     OpProfile delta = inner_setup_total();
     delta -= before;
     if (prof) *prof += delta;

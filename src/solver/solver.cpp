@@ -267,19 +267,10 @@ void Solver::refresh(const la::CsrMatrix<double>& A_new) {
                          device::Xfer::Factor);
   }
 
-  bool reused = true;
-  if (prec_) {
-    reused = prec_->numeric_refresh(A_, Z_);
-    if (!reused) {
-      // Implementation without a refresh path: full numeric setup against
-      // the existing symbolic state (still no re-partitioning).
-      Timer tn;
-      prec_->numeric_setup(A_, Z_);
-      wall_numeric_s_ = tn.seconds();
-    }
-  }
+  // setup() ran the first numeric pass, so this one overlays values.
+  if (prec_) prec_->numeric_refresh(A_, Z_);
   wall_refresh_s_ = t.seconds();
-  setup_reused_ = reused;
+  setup_reused_ = true;
 
   refresh_comm_ = comm_->rank_profiles();
   for (size_t r = 0; r < refresh_comm_.size(); ++r)

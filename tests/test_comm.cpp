@@ -609,8 +609,7 @@ Trajectory reference_run(const test::MeshProblem& p, SolverConfig cfg) {
   krylov::CsrOperator<double> op(p.A);
   std::vector<double> b(static_cast<size_t>(p.A.num_rows()), 1.0);
   Trajectory t;
-  auto res = krylov::gmres<double>(op, &prec, b, t.x,
-                                   cfg.krylov.gmres_options());
+  auto res = krylov::gmres<double>(op, &prec, b, t.x, cfg.krylov);
   t.iterations = res.iterations;
   t.history = std::move(res.residual_history);
   return t;
@@ -943,7 +942,7 @@ TEST(KrylovGolden, FixedTrajectoriesMatchRecordedDigests) {
       {"float-gmres", 0xaf7c4af7a85b1e45ull},
       {"float-gmres-ranks4", 0xaf7c4af7a85b1e45ull}};
   for (const auto& [name, digest] : float_cases) {
-    krylov::GmresOptions o;
+    krylov::KrylovOptions o;
     o.max_iters = 12;
     o.tol = 1e-30;
     if (std::string(name) == "float-gmres-ranks4")

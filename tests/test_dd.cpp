@@ -41,7 +41,7 @@ index_t solve_iterations(const MeshProblem& p, SchwarzConfig cfg,
   prec.numeric_setup(p.A, p.Z);
   krylov::CsrOperator<double> op(p.A);
   std::vector<double> b(static_cast<size_t>(p.A.num_rows()), 1.0), x;
-  krylov::GmresOptions opts;
+  krylov::KrylovOptions opts;
   opts.ortho = krylov::OrthoKind::MGS;
   auto res = krylov::gmres<double>(op, &prec, b, x, opts);
   if (converged) *converged = res.converged;
@@ -748,7 +748,7 @@ TEST(LocalSolverRefresh, RefreshedSolveIsBitwiseTheColdSolve) {
       LocalSolver<double> warm(lc), cold(lc);
       warm.symbolic(p.A);
       warm.numeric(p.A);
-      warm.numeric_refresh(A2);
+      warm.numeric(A2);  // a later pass: the value overlay
       cold.symbolic(A2);
       cold.numeric(A2);
       std::vector<double> xw, xc;
@@ -785,14 +785,13 @@ TEST(LocalSolverRefresh, MovedEntryIsRejectedByName) {
       lc.ordering = ord;
       LocalSolver<double> solver(lc);
       solver.symbolic(A);
-      for (int refresh = 0; refresh < 2; ++refresh) {
+      // Pass 0 is the first numeric pass after symbolic(), pass 1 a later
+      // one (numeric(A) succeeded in between).
+      for (int pass = 0; pass < 2; ++pass) {
         try {
-          if (refresh)
-            solver.numeric_refresh(B);
-          else
-            solver.numeric(B);
+          solver.numeric(B);
           ADD_FAILURE() << "expected Error: " << to_string(kind) << " / "
-                        << to_string(ord) << " refresh " << refresh;
+                        << to_string(ord) << " pass " << pass;
         } catch (const Error& e) {
           EXPECT_NE(std::string(e.what()).find(
                         "numeric pattern differs from symbolic()"),
@@ -803,6 +802,113 @@ TEST(LocalSolverRefresh, MovedEntryIsRejectedByName) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// One numeric pass (DESIGN.md section 9): what a pass rebuilds follows the
+// state the preconditioner holds, not the entry point.  A second
+// numeric_setup on one symbolic_setup is a value overlay, exactly like a
+// numeric_refresh.
+
+/// A Device-backend Schwarz configuration: every phase and the
+/// communicator record into `arena`.
+SchwarzConfig device_schwarz_config(const exec::ExecPolicy& policy,
+                                    comm::Communicator& comm) {
+  SchwarzConfig cfg;
+  for (exec::ExecPolicy* e : {&cfg.exec, &cfg.subdomain.exec,
+                              &cfg.extension.exec, &cfg.coarse.exec})
+    *e = policy;
+  cfg.comm = &comm;
+  return cfg;
+}
+
+TEST(NumericPass, RefreshBeforeAnyNumericPassReturnsFalse) {
+  auto p = laplace_problem(6, 2, 2, 1);
+  auto d = build_decomposition(p.A, p.owner, p.num_parts, 1);
+  comm::SimComm comm(d.num_parts);
+  SchwarzConfig cfg;
+  cfg.comm = &comm;
+  SchwarzPreconditioner<double> prec(cfg, d);
+  EXPECT_FALSE(prec.numeric_refresh(p.A, p.Z));
+  prec.symbolic_setup(p.A);
+  EXPECT_FALSE(prec.numeric_refresh(p.A, p.Z));
+  prec.numeric_setup(p.A, p.Z);
+  EXPECT_TRUE(prec.numeric_refresh(p.A, p.Z));
+  // A new symbolic_setup starts over: the next pass is a first one.
+  prec.symbolic_setup(p.A);
+  EXPECT_FALSE(prec.numeric_refresh(p.A, p.Z));
+}
+
+TEST(NumericPass, SecondNumericSetupSolvesAndStagesLikeARefresh) {
+  auto p = laplace_problem(8, 2, 2, 2);
+  auto d = build_decomposition(p.A, p.owner, p.num_parts, 1);
+  const auto A2 = diagonally_scaled(p.A);
+  const std::vector<double> b = test::random_vector(p.A.num_rows(), 5);
+
+  // The same pass sequence on A then A2, the second pass entered through
+  // numeric_setup (twice) or numeric_refresh (refreshed).
+  struct Run {
+    device::DeviceArena arena{4};
+    exec::ExecPolicy policy;
+    std::unique_ptr<comm::SimComm> comm;
+    std::unique_ptr<SchwarzPreconditioner<double>> prec;
+    std::vector<device::TransferLedger> second;  ///< the second pass
+    std::vector<double> y;
+  };
+  auto run = [&](Run& r, bool via_setup) {
+    r.policy.backend = exec::ExecBackend::Device;
+    r.policy.arena = &r.arena;
+    r.comm = std::make_unique<comm::SimComm>(4, r.policy);
+    r.prec = std::make_unique<SchwarzPreconditioner<double>>(
+        device_schwarz_config(r.policy, *r.comm), d);
+    r.prec->symbolic_setup(p.A);
+    r.prec->numeric_setup(p.A, p.Z);
+    const auto before = r.arena.ledgers();
+    if (via_setup)
+      r.prec->numeric_setup(A2, p.Z);
+    else
+      ASSERT_TRUE(r.prec->numeric_refresh(A2, p.Z));
+    r.second = r.arena.ledgers();
+    for (size_t k = 0; k < r.second.size(); ++k) r.second[k] -= before[k];
+    r.y.resize(b.size());
+    r.prec->apply(b, r.y, nullptr);
+  };
+  Run twice, refreshed;
+  run(twice, true);
+  run(refreshed, false);
+
+  ASSERT_EQ(twice.y.size(), refreshed.y.size());
+  EXPECT_EQ(std::memcmp(twice.y.data(), refreshed.y.data(),
+                        twice.y.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(twice.prec->profiles().numeric_breakdown.count(
+                "overlap-value-refresh"),
+            1u);
+  double factor_bytes = 0.0;
+  for (size_t k = 0; k < twice.second.size(); ++k) {
+    const auto& led = twice.second[k];
+    EXPECT_EQ(led.of(device::Xfer::Matrix).bytes(), 0.0) << "rank " << k;
+    EXPECT_EQ(led.of(device::Xfer::Halo).bytes(), 0.0) << "rank " << k;
+    for (size_t f = 0; f < device::kXferKinds; ++f)
+      EXPECT_EQ(led.by_op[f].bytes(), refreshed.second[k].by_op[f].bytes())
+          << "rank " << k << " family " << f;
+    factor_bytes += led.of(device::Xfer::Factor).bytes();
+  }
+  EXPECT_GT(factor_bytes, 0.0);
+
+  // And both solve like a first pass on A2.
+  comm::SimComm comm(4);
+  SchwarzConfig cfg;
+  cfg.comm = &comm;
+  SchwarzPreconditioner<double> cold(cfg, d);
+  cold.symbolic_setup(A2);
+  cold.numeric_setup(A2, p.Z);
+  std::vector<double> yc;
+  yc.resize(b.size());
+  cold.apply(b, yc, nullptr);
+  ASSERT_EQ(yc.size(), twice.y.size());
+  EXPECT_EQ(
+      std::memcmp(yc.data(), twice.y.data(), yc.size() * sizeof(double)), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -903,6 +1009,36 @@ TEST(GalerkinCache, PhiPatternChangeRerunsSymbolicPasses) {
   ASSERT_TRUE(warm.numeric_refresh(p.A, p.Z));
   expect_same_csr(warm.coarse_basis(), phi_before, "Phi");
   expect_cold_coarse(warm, p.A, p, d, cfg);
+}
+
+TEST(NumericPass, NullSpaceChangeRebuildsTheCoarseSpace) {
+  // A later pass with a different Z rebuilds the interface basis (and with
+  // it the extension and Galerkin structures and the coarse factor): the
+  // translations-only space of elasticity is smaller than the full one.
+  auto p = elasticity_problem(3, 2, 2, 1);
+  ASSERT_GT(p.Z.num_cols(), 3);
+  la::DenseMatrix<double> Zt(p.Z.num_rows(), 3);
+  for (index_t c = 0; c < 3; ++c)
+    for (index_t i = 0; i < p.Z.num_rows(); ++i) Zt(i, c) = p.Z(i, c);
+  auto d = build_decomposition(p.A, p.owner, p.num_parts, 1);
+  comm::SimComm comm(d.num_parts);
+  SchwarzConfig cfg;
+  cfg.comm = &comm;
+  SchwarzPreconditioner<double> warm(cfg, d), cold(cfg, d);
+  warm.symbolic_setup(p.A);
+  warm.numeric_setup(p.A, p.Z);
+  const index_t full_dim = warm.coarse_dim();
+  ASSERT_TRUE(warm.numeric_refresh(p.A, Zt));
+  cold.symbolic_setup(p.A);
+  cold.numeric_setup(p.A, Zt);
+  EXPECT_LT(warm.coarse_dim(), full_dim);
+  expect_same_csr(warm.coarse_basis(), cold.coarse_basis(), "Phi");
+  expect_same_csr(warm.coarse_matrix(), cold.coarse_matrix(), "A0");
+  const std::vector<double> b = test::random_vector(p.A.num_rows(), 9);
+  std::vector<double> yw(b.size()), yc(b.size());
+  warm.apply(b, yw, nullptr);
+  cold.apply(b, yc, nullptr);
+  EXPECT_EQ(std::memcmp(yw.data(), yc.data(), yw.size() * sizeof(double)), 0);
 }
 
 }  // namespace

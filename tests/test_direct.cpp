@@ -264,6 +264,52 @@ TEST(GpLu, ProfileMarksSequentialCriticalPath) {
   EXPECT_FALSE(lu.symbolic_reusable());
 }
 
+TEST(GpLu, RefactorRefillsValuesAndRejectsAMovedEntry) {
+  // symbolic() fixes A's column access; a numeric pass on new values must
+  // factor bitwise like a fresh symbolic + numeric on them.
+  const auto A = random_nonsym(60, 0.15, 7);
+  auto A2 = A;
+  for (index_t k = 0; k < A2.num_entries(); ++k)
+    A2.values()[static_cast<size_t>(k)] *=
+        1.0 + 0.125 * static_cast<double>(k % 5);
+  GilbertPeierlsLu<double> warm, fresh;
+  warm.symbolic(A);
+  warm.numeric(A);
+  OpProfile pw, pf;
+  warm.numeric(A2, &pw);
+  fresh.symbolic(A2);
+  fresh.numeric(A2, &pf);
+  const auto& fw = warm.factorization();
+  const auto& ff = fresh.factorization();
+  EXPECT_EQ(fw.L.rowptr(), ff.L.rowptr());
+  EXPECT_EQ(fw.L.colind(), ff.L.colind());
+  EXPECT_EQ(fw.U.rowptr(), ff.U.rowptr());
+  EXPECT_EQ(fw.U.colind(), ff.U.colind());
+  EXPECT_EQ(fw.L.values(), ff.L.values());
+  EXPECT_EQ(fw.U.values(), ff.U.values());
+  EXPECT_EQ(fw.row_perm_old2new, ff.row_perm_old2new);
+  EXPECT_EQ(pw.flops, pf.flops);
+  EXPECT_EQ(pw.bytes, pf.bytes);
+
+  // Same entry count, one entry moved to a column its row did not hold.
+  std::vector<index_t> colind = A.colind();
+  const index_t row = 0;
+  index_t fresh_col = 0;
+  while (A.find(row, fresh_col) >= 0) ++fresh_col;
+  colind[static_cast<size_t>(A.row_begin(row))] = fresh_col;
+  const la::CsrMatrix<double> B(A.num_rows(), A.num_cols(), A.rowptr(),
+                                std::move(colind), A.values());
+  try {
+    warm.numeric(B);
+    ADD_FAILURE() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "GP-LU: numeric pattern differs from symbolic()"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Multifrontal, SolvesLaplaceSystem) {
   auto A = laplace2d(9, 7);
   auto xref = random_vector(A.num_rows(), 21);

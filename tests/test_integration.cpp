@@ -77,7 +77,7 @@ TEST(NullSpace, TranslationsOnlyElasticityStillConverges) {
     prec.numeric_setup(sys.A, Z);
     krylov::CsrOperator<double> op(sys.A);
     std::vector<double> b(static_cast<size_t>(sys.A.num_rows()), 1.0), x;
-    krylov::GmresOptions opts;
+    krylov::KrylovOptions opts;
     opts.ortho = krylov::OrthoKind::MGS;
     auto res = krylov::gmres<double>(op, &prec, b, x, opts);
     ASSERT_TRUE(res.converged) << (tr_only ? "translations" : "full RBM");
@@ -222,7 +222,7 @@ TEST_P(OverlapGrowth, AlgebraicOverlapReducesIterations) {
     prec.numeric_setup(p.A, p.Z);
     krylov::CsrOperator<double> op(p.A);
     std::vector<double> b(static_cast<size_t>(p.A.num_rows()), 1.0), x;
-    krylov::GmresOptions opts;
+    krylov::KrylovOptions opts;
     opts.ortho = krylov::OrthoKind::MGS;
     auto res = krylov::gmres<double>(op, &prec, b, x, opts);
     ASSERT_TRUE(res.converged);

@@ -121,7 +121,7 @@ TEST_P(BreakdownVariants, MidCycleBreakdownYieldsExactSolution) {
   CsrOperator<double> op(A);
   std::vector<double> b(8, 0.0);
   b[0] = 1.0;
-  GmresOptions opts;
+  KrylovOptions opts;
   opts.ortho = GetParam();
   std::vector<double> x;
   auto res = gmres<double>(op, nullptr, b, x, opts);
@@ -162,7 +162,7 @@ TEST(Gmres, RestartLimitsBasisSize) {
   auto A = laplace2d(14, 14);
   CsrOperator<double> op(A);
   auto b = random_vector(A.num_rows(), 4);
-  GmresOptions opts;
+  KrylovOptions opts;
   opts.restart = 5;
   std::vector<double> x;
   auto res = gmres<double>(op, nullptr, b, x, opts);
@@ -179,7 +179,7 @@ TEST(Gmres, WarmStartContinuesFromCallerIterate) {
   auto A = laplace2d(12, 12);
   CsrOperator<double> op(A);
   auto b = random_vector(A.num_rows(), 14);
-  GmresOptions part;
+  KrylovOptions part;
   part.max_iters = 4;
   std::vector<double> x;
   auto partial = gmres<double>(op, nullptr, b, x, part);
@@ -246,7 +246,7 @@ TEST(Cg, WarmStartContractMatchesGmres) {
   std::vector<double> bad(5, 0.0);
   EXPECT_THROW(cg<double>(op, nullptr, b, bad), Error);
   // Partial solve + warm continuation, as for GMRES.
-  CgOptions part;
+  KrylovOptions part;
   part.max_iters = 4;
   std::vector<double> xp;
   auto partial = cg<double>(op, nullptr, b, xp, part);
@@ -261,7 +261,7 @@ TEST_P(OrthoVariants, AllVariantsConvergeToSameSolution) {
   auto A = convection_diffusion2d(10, 10, 2.0);
   CsrOperator<double> op(A);
   auto b = random_vector(A.num_rows(), 5);
-  GmresOptions opts;
+  KrylovOptions opts;
   opts.ortho = GetParam();
   std::vector<double> x;
   auto res = gmres<double>(op, nullptr, b, x, opts);
@@ -280,12 +280,12 @@ TEST(Gmres, SingleReduceUsesFewerReductionsThanMgs) {
   CsrOperator<double> op(A);
   auto b = random_vector(A.num_rows(), 6);
 
-  GmresOptions mgs_opts;
+  KrylovOptions mgs_opts;
   mgs_opts.ortho = OrthoKind::MGS;
   std::vector<double> x1;
   auto mgs_res = gmres<double>(op, nullptr, b, x1, mgs_opts);
 
-  GmresOptions sr_opts;
+  KrylovOptions sr_opts;
   sr_opts.ortho = OrthoKind::SingleReduce;
   std::vector<double> x2;
   auto sr_res = gmres<double>(op, nullptr, b, x2, sr_opts);
@@ -302,7 +302,7 @@ TEST(Gmres, ReductionCountScalesWithIterations) {
   auto A = laplace2d(10, 10);
   CsrOperator<double> op(A);
   auto b = random_vector(A.num_rows(), 7);
-  GmresOptions opts;
+  KrylovOptions opts;
   opts.ortho = OrthoKind::SingleReduce;
   std::vector<double> x;
   auto res = gmres<double>(op, nullptr, b, x, opts);
@@ -377,7 +377,7 @@ TEST_P(RestartSweep, ConvergesForAnyRestartLength) {
   auto A = convection_diffusion2d(11, 11, 2.0);
   CsrOperator<double> op(A);
   auto b = random_vector(A.num_rows(), 11);
-  GmresOptions opts;
+  KrylovOptions opts;
   opts.restart = GetParam();
   std::vector<double> x;
   auto res = gmres<double>(op, nullptr, b, x, opts);
@@ -394,7 +394,7 @@ TEST(Gmres, TighterToleranceNeedsMoreIterations) {
   auto b = random_vector(A.num_rows(), 12);
   index_t prev = 0;
   for (double tol : {1e-3, 1e-7, 1e-11}) {
-    GmresOptions opts;
+    KrylovOptions opts;
     opts.tol = tol;
     std::vector<double> x;
     auto res = gmres<double>(op, nullptr, b, x, opts);
@@ -414,7 +414,7 @@ TEST(Gmres, FloatInstantiationConverges) {
   auto A = bb.build();
   CsrOperator<float> op(A);
   std::vector<float> b{1.f, 0.f, 0.f, 1.f}, x;
-  GmresOptions opts;
+  KrylovOptions opts;
   opts.tol = 1e-5;
   auto res = gmres<float>(op, nullptr, b, x, opts);
   EXPECT_TRUE(res.converged);
@@ -498,7 +498,7 @@ TEST(BlockGmres, EveryOrthoMatchesSoloSolvesAcrossRestartsAndBreakdown) {
   B[0][0] = 1.0;
   for (OrthoKind k : {OrthoKind::SingleReduce, OrthoKind::MGS,
                       OrthoKind::CGS2}) {
-    GmresOptions opts;
+    KrylovOptions opts;
     opts.ortho = k;
     opts.restart = 4;
     std::vector<std::vector<double>> solo_x(B.size());

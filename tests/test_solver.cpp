@@ -4,6 +4,8 @@
 // and the golden equivalence of the facade with the hand-wired pipeline.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdio>
 #include <cstring>
 
 #include "frosch.hpp"
@@ -286,7 +288,7 @@ TEST(KrylovSolver, GmresHistoryIsConsistentWithLegacyEntryPoint) {
   auto A = laplace2d(10, 10);
   krylov::CsrOperator<double> op(A);
   auto b = random_vector(A.num_rows(), 23);
-  krylov::GmresOptions opts;
+  krylov::KrylovOptions opts;
   opts.restart = 5;  // force several cycles
   std::vector<double> x;
   auto r = krylov::gmres<double>(op, nullptr, b, x, opts);
@@ -443,7 +445,7 @@ Golden hand_wired(const test::MeshProblem& p, const SolverConfig& cfg) {
   prec.numeric_setup(p.A, p.Z);
   krylov::CsrOperator<double> op(p.A);
   std::vector<double> b(static_cast<size_t>(p.A.num_rows()), 1.0), x;
-  auto res = krylov::gmres<double>(op, &prec, b, x, cfg.krylov.gmres_options());
+  auto res = krylov::gmres<double>(op, &prec, b, x, cfg.krylov);
   EXPECT_TRUE(res.converged);
   return {res.iterations, prec.coarse_dim(), res.final_residual};
 }
@@ -1107,6 +1109,137 @@ TEST(RefreshSuite, RefreshMovesNoPatternOrHaloBytes) {
   for (const auto& o : rep.rank_refresh_comm) refresh_msg += o.msg_bytes;
   EXPECT_GT(refresh_msg, 0.0);
   EXPECT_LT(refresh_msg, setup_msg);
+}
+
+// ---------------------------------------------------------------------------
+// Accounting golden: the charges of a cold setup and of two chained
+// refreshes, hashed.  Refactors of the numeric passes must keep every charge
+// -- per key, per rank, per transfer family -- bit for bit.
+
+/// FNV-1a over the bit patterns of the fed values.
+class Fnv {
+ public:
+  void add(const void* p, size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < n; ++i) h_ = (h_ ^ b[i]) * 1099511628211ull;
+  }
+  void add(double v) { add(&v, sizeof v); }
+  void add(count_t v) { add(&v, sizeof v); }
+  void add(const std::string& s) { add(s.data(), s.size()); }
+  /// Every deterministic field (the measured overlap seconds excluded).
+  void add(const OpProfile& o) {
+    for (double v : {o.flops, o.bytes, o.work_items, o.msg_bytes,
+                     o.sub_red_log2, o.ov_msg_bytes})
+      add(v);
+    for (count_t v : {o.launches, o.critical_path, o.reductions,
+                      o.neighbor_msgs, o.sub_reductions, o.ov_reductions,
+                      o.ov_neighbor_msgs, o.overlap_windows})
+      add(v);
+  }
+  void add(const std::vector<OpProfile>& v) {
+    add(static_cast<count_t>(v.size()));
+    for (const auto& o : v) add(o);
+  }
+  void add(const std::vector<device::TransferLedger>& v) {
+    add(static_cast<count_t>(v.size()));
+    for (const auto& led : v)
+      for (const auto& s : led.by_op) {
+        add(s.h2d_count);
+        add(s.d2h_count);
+        add(s.h2d_bytes);
+        add(s.d2h_bytes);
+      }
+  }
+  void add(const dd::SchwarzProfiles& sp) {
+    for (const auto& [key, o] : sp.numeric_breakdown) {
+      add(key);
+      add(o.flops);
+      add(o.bytes);
+      add(o.launches);
+    }
+    add(static_cast<count_t>(sp.ranks.size()));
+    for (const auto& rp : sp.ranks) add(rp.numeric);
+    add(sp.rank_factor);
+    add(sp.rank_trisolve_setup);
+    add(sp.rank_extension);
+    add(sp.rank_comm);
+    add(sp.coarse.numeric);
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 1469598103934665603ull;
+};
+
+/// Digests of the setup-side accounting after a cold setup and after each
+/// of two chained refreshes (Device backend, 4 ranks).
+std::array<uint64_t, 3> accounting_digests(const test::MeshProblem& p,
+                                           SolverConfig cfg) {
+  cfg.exec_mode = ExecMode::Device;
+  cfg.ranks = 4;
+  const auto A2 = diag_rescaled(p.A);
+  auto A3 = diag_rescaled(A2);
+  for (auto& v : A3.values()) v *= 3.0;
+  std::vector<double> b(static_cast<size_t>(p.A.num_rows()), 1.0);
+  Solver solver(cfg);
+  solver.setup(p.A, p.Z, p.owner, p.num_parts);
+  std::array<uint64_t, 3> out{};
+  for (int pass = 0; pass < 3; ++pass) {
+    if (pass > 0) solver.refresh(pass == 1 ? A2 : A3);
+    std::vector<double> x;
+    const auto rep = solver.solve(b, x);
+    EXPECT_TRUE(rep.converged) << "pass " << pass;
+    EXPECT_GT(rep.coarse_dim, 0);
+    Fnv h;
+    h.add(rep.schwarz);
+    h.add(rep.rank_setup_comm);
+    h.add(rep.rank_setup_transfers);
+    if (pass > 0) {
+      h.add(rep.schwarz_refresh);
+      h.add(rep.rank_refresh_comm);
+      h.add(rep.rank_refresh_transfers);
+    }
+    out[static_cast<size_t>(pass)] = h.value();
+  }
+  return out;
+}
+
+void print_digests(const std::array<uint64_t, 3>& d) {
+  std::printf("digests: 0x%016llxull, 0x%016llxull, 0x%016llxull\n",
+              static_cast<unsigned long long>(d[0]),
+              static_cast<unsigned long long>(d[1]),
+              static_cast<unsigned long long>(d[2]));
+}
+
+TEST(AccountingGolden, LaplaceDirectAndIlukMatchRecordedDigests) {
+  const auto p = test::laplace_problem(8, 2, 2, 2);
+  const std::pair<dd::LocalSolverKind, std::array<uint64_t, 3>> cases[] = {
+      {dd::LocalSolverKind::TachoLike,
+       {0xd7516a571cbd1214ull, 0x7617da8a2c64e23full, 0x95b2683223efd3a5ull}},
+      {dd::LocalSolverKind::SuperLULike,
+       {0x75ed16aa79ee89dbull, 0x91a9831c8d1c4a8aull, 0x42c79aead4f93725ull}},
+      {dd::LocalSolverKind::Iluk,
+       {0x55a1691c4bd6799eull, 0xa3624d99524a2c42ull, 0x9a223e668e70db8eull}},
+  };
+  for (const auto& [kind, golden] : cases) {
+    SCOPED_TRACE(to_string(kind));
+    SolverConfig cfg;
+    cfg.schwarz.subdomain.kind = kind;
+    const auto d = accounting_digests(p, cfg);
+    if (d != golden) print_digests(d);
+    EXPECT_EQ(d, golden);
+  }
+}
+
+TEST(AccountingGolden, ElasticityCoarseSpaceMatchesRecordedDigests) {
+  SolverConfig cfg;
+  cfg.schwarz.subdomain.dof_block_size = 3;
+  cfg.schwarz.extension.dof_block_size = 3;
+  const auto d = accounting_digests(test::elasticity_problem(4, 2, 2, 2), cfg);
+  const std::array<uint64_t, 3> golden = {
+      0xcbb331acc1e765baull, 0x9247953aa0671df3ull, 0xd314dea1922eb61dull};
+  if (d != golden) print_digests(d);
+  EXPECT_EQ(d, golden);
 }
 
 TEST(SolverConfig, ParsesRefreshKeyAndDocumentsIt) {
